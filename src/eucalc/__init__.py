@@ -55,7 +55,7 @@ from .geometry import (
     polar_contains,
     support_value,
 )
-from .kernels import Kernel, compose_window, ecb, fourier, heaviside, integrate_window, laplace
+from .kernels import Kernel, compose_window, ecb, fourier, heaviside, laplace
 from .radon import (
     RecoveryParams,
     chi_vanishing_check,
@@ -71,7 +71,6 @@ from .transforms import (
     grid_eval,
     grid_to_csv,
     hybrid_transform,
-    magnitude,
 )
 
 __version__ = "0.1.0"

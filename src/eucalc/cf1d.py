@@ -15,6 +15,8 @@ pushforwards and Lebesgue pairing against kernels are exact on this class.
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegenerateMap,
     ImproperConvolution,
@@ -362,7 +364,8 @@ class CF1D:
         Point values are null sets and do not contribute; each interval piece
         contributes value * (K(upper) - K(lower)) for the kernel's
         antiderivative K.  Raises NonIntegrable when an unbounded piece with
-        nonzero value meets an infinity where K is undefined.
+        nonzero value meets an infinity where K is undefined, and
+        OverflowError when K is not finite at a breakpoint.
         """
         inf = float("inf")
         if not self.breakpoints:
@@ -376,9 +379,10 @@ class CF1D:
             ]
             pieces.append((b[-1], inf, self.interval_values[-1]))
         total = 0
-        for lo, hi, v in pieces:
-            if v:
-                total += v * kernel.integrate(lo, hi)
+        with np.errstate(all="ignore"):  # overflow is raised by the kernel
+            for lo, hi, v in pieces:
+                if v:
+                    total += v * kernel.integrate(lo, hi)
         if kernel.field == "complex":
             return complex(total)
         return float(total)

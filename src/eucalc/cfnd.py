@@ -4,7 +4,9 @@ Two generator classes are supported: closed polytopes in vertex representation
 and half-open boxes prod_i [low_i, high_i).  Boxes may have +inf upper bounds
 (orthant rays); those arise as outputs of cone_closure and stay internal to
 pushforwards and evaluation.  Everything reduces to the 1-D step algebra
-through linear pushforwards, which is how all transforms are evaluated.
+through linear pushforwards.  Transforms pair kernels with the generating
+points of the bounded generators directly (bounded_point_groups) and use
+the pushforward for ray boxes and as their oracle.
 """
 
 from dataclasses import dataclass
@@ -152,6 +154,31 @@ def expand_box(box):
         corners = np.array(list(product(*axis_values)))
         out.append((sign, ClosedPolytope(Polytope(corners))))
     return out
+
+
+def bounded_point_groups(phi):
+    """The bounded generators as signed groups of generating points.
+
+    Returns (points, starts, coefs, rays): group k is the rows
+    starts[k]:starts[k + 1] of the (N, d) array points, the generating set
+    of a closed polytope with integer coefficient coefs[k].  Bounded boxes
+    contribute the closed boxes of expand_box.  rays holds the unbounded
+    (orthant-ray) boxes as a CFND, since they have no finite generating set.
+    """
+    groups, coefs, rays = [], [], []
+    for coef, gen in phi.terms:
+        if isinstance(gen, ClosedPolytope):
+            groups.append(gen.polytope.points)
+            coefs.append(coef)
+        elif gen.is_bounded:
+            for sign, closed in expand_box(gen):
+                groups.append(closed.polytope.points)
+                coefs.append(sign * coef)
+        else:
+            rays.append((coef, gen))
+    starts = np.cumsum([0] + [len(g) for g in groups], dtype=np.intp)[:-1]
+    points = np.concatenate(groups) if groups else np.empty((0, phi.dimension))
+    return points, starts, np.array(coefs, dtype=np.int64), CFND(phi.dimension, tuple(rays))
 
 
 def _push_generator(gen, xi):

@@ -30,7 +30,7 @@ def _load_json(path, loader, kind):
         with open(path) as handle:
             data = json.load(handle)
         return loader(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, EucalcError) as exc:
         print(f"error: cannot read {kind} {path!r}: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -43,7 +43,11 @@ def _open_output(path):
 
 def _directions(args, dim):
     if args.direction:
-        dirs = np.array([_parse_floats(d) for d in args.direction])
+        try:
+            dirs = np.array([_parse_floats(d) for d in args.direction])
+        except ValueError as exc:
+            print(f"error: bad direction: {exc}", file=sys.stderr)
+            raise SystemExit(2)
         if dirs.shape[1] != dim:
             print("error: direction dimension mismatch", file=sys.stderr)
             raise SystemExit(2)
@@ -58,11 +62,15 @@ def _directions(args, dim):
 
 
 def _radii(args):
-    if args.radius:
-        return np.array([float(r) for r in args.radius])
-    if args.radii:
-        lo, hi, steps = args.radii.split(":")
-        return np.linspace(float(lo), float(hi), int(steps))
+    try:
+        if args.radius:
+            return np.array([float(r) for r in args.radius])
+        if args.radii:
+            lo, hi, steps = args.radii.split(":")
+            return np.linspace(float(lo), float(hi), int(steps))
+    except ValueError as exc:
+        print(f"error: bad radii: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     print("error: need --radius or --radii lo:hi:steps", file=sys.stderr)
     raise SystemExit(2)
 
@@ -74,9 +82,12 @@ def cmd_transform(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    grid = transforms.grid_eval(
-        scene, kernel, _directions(args, scene.dimension), _radii(args)
-    )
+    directions, radii = _directions(args, scene.dimension), _radii(args)
+    try:
+        grid = transforms.grid_eval(scene, kernel, directions, radii)
+    except (EucalcError, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stream, close = _open_output(args.output)
     try:
         transforms.grid_to_csv(grid, stream)

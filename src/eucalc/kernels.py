@@ -6,11 +6,15 @@ are closed-form exact.  Each kernel records where its antiderivative is
 defined at the two infinities, an optional window restricting it to
 kappa * 1_(a,b), and a strict-monotonicity tag for the antiderivative on the
 active window (consumed by the index-formula checks).
+
+Antiderivatives are written with numpy, so the same function serves a single
+point and an array of (already clipped) points.
 """
 
 import cmath
-import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import EmptyWindow, NonIntegrable
 
@@ -25,7 +29,7 @@ NONE = "none"
 class Kernel:
     name: str
     field: str  # "real" | "complex"
-    antideriv: callable  # K at finite arguments
+    antideriv: callable  # K at finite arguments, scalar or array
     at_neg_inf: object = None  # value of K at -inf, or None if undefined
     at_pos_inf: object = None
     window: tuple = (-INF, INF)
@@ -38,7 +42,11 @@ class Kernel:
         return min(max(x, lo), hi)
 
     def antideriv_at(self, x):
-        """Antiderivative of the windowed kernel at x (up to a constant)."""
+        """Antiderivative of the windowed kernel at x (up to a constant).
+
+        Raises NonIntegrable at an infinity where K is undefined, and
+        OverflowError where K is not finite at a finite point.
+        """
         x = self._clip(x)
         if x == INF:
             if self.at_pos_inf is None:
@@ -52,16 +60,16 @@ class Kernel:
                     f"kernel {self.name!r}: antiderivative undefined at -inf"
                 )
             return self.at_neg_inf
-        return self.antideriv(x)
+        value = self.antideriv(x)
+        if not cmath.isfinite(value):
+            raise OverflowError(
+                f"kernel {self.name!r}: antiderivative overflows at {float(x)!r}"
+            )
+        return value
 
     def integrate(self, a, b):
         """Integral of the windowed kernel over (a, b)."""
         return self.antideriv_at(b) - self.antideriv_at(a)
-
-
-def integrate_window(kernel, a, b):
-    """Module-level alias of Kernel.integrate."""
-    return kernel.integrate(a, b)
 
 
 def compose_window(kernel, a, b):
@@ -81,7 +89,7 @@ def laplace():
     return Kernel(
         name="laplace",
         field="real",
-        antideriv=lambda x: -math.exp(-x),
+        antideriv=lambda x: -np.exp(-x),
         at_pos_inf=0.0,
         monotonicity=INCREASING,
         retag=lambda lo, hi: INCREASING,
@@ -93,7 +101,7 @@ def fourier():
     return Kernel(
         name="fourier",
         field="complex",
-        antideriv=lambda x: 1j * cmath.exp(-1j * x),
+        antideriv=lambda x: 1j * np.exp(-1j * x),
         monotonicity=NONE,
     )
 
@@ -106,7 +114,7 @@ def heaviside():
     return Kernel(
         name="gr",
         field="real",
-        antideriv=lambda x: max(x, 0.0),
+        antideriv=lambda x: np.maximum(x, 0.0),
         at_neg_inf=0.0,
         monotonicity=NONE,
         retag=lambda lo, hi: INCREASING if lo >= 0 else NONE,
@@ -125,17 +133,6 @@ def ecb(a):
         field="real",
         antideriv=lambda x: x,
         window=(-INF, a),
-        monotonicity=INCREASING,
-        retag=lambda lo, hi: INCREASING,
-    )
-
-
-def constant():
-    """kappa = 1; antiderivative x (undefined at both infinities)."""
-    return Kernel(
-        name="constant",
-        field="real",
-        antideriv=lambda x: x,
         monotonicity=INCREASING,
         retag=lambda lo, hi: INCREASING,
     )

@@ -5,36 +5,112 @@ constructible function along a linear form:
 
     T[phi](xi) = integral over R of kappa(t) * (xi_* phi)(t) dt.
 
-Since pushforwards of the generator classes are exact step functions and the
-kernels carry exact antiderivatives, every value below is a closed form, not
-a quadrature.
+The pairing is linear in the generators.  A bounded generator P pushes
+forward to the indicator of [min <xi, P>, max <xi, P>], so with the kernel's
+exact antiderivative K
+
+    T[phi](xi) = sum over generators of c * (K(max <xi, P>) - K(min <xi, P>)),
+
+a closed form, not a quadrature.  hybrid_transform evaluates it for a whole
+array of forms from one projection product.  Orthant-ray boxes, which have
+no finite generating set, are pushed forward exactly on the step algebra.
 """
 
+import cmath
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as _kernels
-from .cfnd import pushforward_linear
-from .errors import NonIntegrable
+from .cfnd import bounded_point_groups, pushforward_linear
+from .errors import DimensionMismatch, NonIntegrable
+from .geometry import EPS, as_vector
 
 
-def hybrid_transform(phi, xi, kernel):
-    """Lebesgue pairing of the kernel against the pushforward along xi."""
-    return pushforward_linear(phi, xi).lebesgue_pair(kernel)
+def _pair_bounded(points, starts, coefs, forms, kernel):
+    """Per form, the bounded generators' sum of c * (K(max) - K(min)).
+
+    Segments no longer than EPS count as points, which pair to zero.  The
+    sum is taken as the pairing of the step function the segments add up
+    to, with the end points of all segments sorted per form, so that
+    coinciding end points cancel exactly (a pushforward that vanishes
+    pairs to exactly 0).  Non-finite projections or kernel values give a
+    non-finite result; numpy warnings are expected to be silenced.
+    """
+    if not len(starts):
+        return np.zeros(len(forms))
+    # points @ forms.T, summed axis by axis so that a form's projections do
+    # not depend on the other forms in the batch (BLAS blocking would)
+    proj = sum(points[:, j, None] * forms[:, j] for j in range(forms.shape[1]))
+    lo = np.minimum.reduceat(proj, starts, axis=0)
+    hi = np.maximum.reduceat(proj, starts, axis=0)
+    weight = np.where(hi - lo > EPS, coefs[:, None], 0)
+    ends = np.concatenate([lo, hi]).T  # (forms, 2 * generators)
+    order = np.argsort(ends, axis=1)
+    ends = np.take_along_axis(ends, order, axis=1)
+    jumps = np.take_along_axis(np.concatenate([weight, -weight]).T, order, axis=1)
+    level = np.cumsum(jumps, axis=1)  # value on (ends[k], ends[k + 1])
+    k = kernel.antideriv(np.clip(ends, *kernel.window))
+    total = (level[:, :-1] * (k[:, 1:] - k[:, :-1])).sum(axis=1)
+    total[~np.isfinite(proj).all(axis=0)] = np.nan
+    return total
+
+
+def _cell(phi, rays, xi, bounded, kernel):
+    """Transform value at one form from its bounded part.
+
+    Ray boxes are paired on the step algebra, which raises NonIntegrable and
+    ImproperConvolution as the full pushforward would.  A cell that is not
+    finite is recomputed from the full pushforward, so it raises the error
+    (OverflowError, ...) of that route instead of returning inf or nan.
+    """
+    value = bounded
+    if cmath.isfinite(value) and rays.terms:
+        try:
+            value = value + pushforward_linear(rays, xi).lebesgue_pair(kernel)
+        except OverflowError:
+            value = np.nan
+    if not cmath.isfinite(value):
+        return pushforward_linear(phi, xi).lebesgue_pair(kernel)
+    return complex(value) if kernel.field == "complex" else float(value)
+
+
+def hybrid_transform(phi, xis, kernel):
+    """Lebesgue pairing of the kernel against the pushforward along each form.
+
+    xis is one form of shape (d,) or an array of forms of shape (m, d).  One
+    form gives a float (complex for complex kernels) and raises
+    NonIntegrable where the pairing is undefined; an array gives a list with
+    None at those forms.  Other errors propagate from the first form that
+    raises.
+    """
+    single = np.ndim(xis) == 1
+    if single:
+        forms = as_vector(xis)[None, :]
+    else:
+        forms = np.asarray(xis, dtype=float)
+        if forms.ndim != 2 or not np.isfinite(forms).all():
+            raise ValueError("expected an (m, d) array of finite forms")
+    if forms.shape[1] != phi.dimension:
+        raise DimensionMismatch("form dimension differs from ambient")
+    points, starts, coefs, rays = bounded_point_groups(phi)
+    out = []
+    with np.errstate(all="ignore"):
+        bounded = _pair_bounded(points, starts, coefs, forms, kernel)
+        for xi, value in zip(forms, bounded):
+            try:
+                out.append(_cell(phi, rays, xi, value, kernel))
+            except NonIntegrable:
+                if single:
+                    raise
+                out.append(None)
+    return out[0] if single else out
 
 
 def euler_laplace(phi, xi):
     """Hybrid transform with kernel exp(-t)."""
     return hybrid_transform(phi, xi, _kernels.laplace())
-
-
-def magnitude(phi, xi):
-    """Alias of euler_laplace: the magnitude of the underlying sheaf data."""
-    return euler_laplace(phi, xi)
 
 
 def euler_fourier(phi, xi):
@@ -71,31 +147,19 @@ class TransformGrid:
         return sum(v is None for v in cells) / len(cells)
 
 
-def grid_eval(phi, kernel, directions, radii, threads=None):
+def grid_eval(phi, kernel, directions, radii):
     """Evaluate the transform on every (direction, radius) pair.
 
-    Rows are independent; `threads` > 1 maps them over a thread pool.  Cells
-    where integrability fails are recorded as None.
+    All cells come from one hybrid_transform call over the forms
+    radius * direction.  Cells where integrability fails are recorded as
+    None.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     radii = np.asarray(radii, dtype=float)
-
-    def row(direction):
-        out = []
-        for r in radii:
-            try:
-                out.append(hybrid_transform(phi, r * direction, kernel))
-            except NonIntegrable:
-                out.append(None)
-        return out
-
-    if threads is None:
-        threads = int(os.environ.get("EHC_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(row, directions))
-    else:
-        values = [row(d) for d in directions]
+    forms = radii[None, :, None] * directions[:, None, :]
+    cells = hybrid_transform(phi, forms.reshape(-1, directions.shape[1]), kernel)
+    n = len(radii)
+    values = [cells[i * n:(i + 1) * n] for i in range(len(directions))]
     return TransformGrid(directions=directions, radii=radii, values=values)
 
 

@@ -17,6 +17,7 @@ from .cfnd import (
     CFND,
     ClosedPolytope,
     HalfOpenBox,
+    bounded_point_groups,
     box_product,
     cone_closure,
     convolve_nd,
@@ -38,6 +39,7 @@ from .complexes import (
     sublevel_curve,
     sublevel_from_level_check,
 )
+from .errors import ImproperConvolution, NonIntegrable
 from .geometry import OrthantCone, Polytope, dist_to_simplex, minkowski_points, support_value
 from .radon import chi_vanishing_check, radon_support_check, recover_pushforward
 
@@ -107,6 +109,32 @@ def random_polytope_cfnd(rng, dim=2, max_terms=2):
 
 def random_mixed_cfnd(rng, dim=2):
     return random_voxel_cfnd(rng, dim) + random_polytope_cfnd(rng, dim)
+
+
+def random_gamma_cfnd(rng, max_terms=3):
+    """Random signed sum of gamma triangles (solid minus hypotenuse) with
+    real-valued, off-lattice corners."""
+    terms = []
+    for _ in range(int(rng.integers(1, max_terms + 1))):
+        x0, y0 = rng.uniform(-1.5, 1.0, size=2)
+        s, b = rng.uniform(0.2, 0.8), rng.uniform(0.5, 3.0)
+        a, c = [x0 + s, y0], [x0, y0 + s * b]
+        coef = int(rng.choice([-1, 1]))
+        terms.append((coef, ClosedPolytope(Polytope([[x0, y0], a, c]))))
+        terms.append((-coef, ClosedPolytope(Polytope([a, c]))))
+    return CFND(2, tuple(terms))
+
+
+def random_ray_cfnd(rng):
+    """Cone closure of a voxel sum, optionally with a closed box (whose
+    closure is a net ray) and a polytope sum added."""
+    phi = random_voxel_cfnd(rng)
+    if rng.integers(2):
+        low = rng.integers(-4, 5, size=2) * 0.5
+        corners = [low, low + [0.5, 0.0], low + [0.0, 0.5], low + 0.5]
+        phi = phi + CFND.from_polytope_points(corners)
+    closure = cone_closure(phi, OrthantCone.nonpositive(2))
+    return closure + random_polytope_cfnd(rng) if rng.integers(2) else closure
 
 
 def random_direction(rng, dim, positive=False, lattice=4):
@@ -639,6 +667,122 @@ def suite_radon(rng, cases):
     return result
 
 
+def _random_kernel(rng):
+    """One of laplace, fourier, gr and ecb:a, half of the time windowed."""
+    kernel = (
+        kernels.laplace(),
+        kernels.fourier(),
+        kernels.heaviside(),
+        kernels.ecb(float(rng.uniform(-2.0, 2.0))),
+    )[int(rng.integers(4))]
+    if rng.integers(2):
+        lo = min(float(rng.uniform(-3.0, 1.0)), kernel.window[1] - 0.5)
+        hi = lo + float(rng.uniform(0.5, 4.0)) if rng.integers(4) else math.inf
+        kernel = kernels.compose_window(kernel, lo, hi)
+    return kernel
+
+
+def _outcome(evaluate):
+    """The value of evaluate(), or the name of the error it raises."""
+    try:
+        return evaluate()
+    except NonIntegrable:
+        return "missing"
+    except ImproperConvolution:
+        return "improper"
+    except OverflowError:
+        return "overflow"
+
+
+def _pairing_tolerance(phi, xi, kernel):
+    """Allowed gap between two exact pairing routes at one form.
+
+    1e-12 relative to every term, plus 1e-9 times the kernel at each end
+    point within 1e-9 of another end point or a window end, where the step
+    algebra merges breakpoints.  Points (segments with equal ends) have no
+    terms.  |kernel| is bounded by |K| + 1 for every kernel of the library.
+    """
+    points, starts, coefs, rays = bounded_point_groups(phi)
+    proj = points @ xi
+    bounds = list(starts[1:]) + [len(points)]
+    ends, weights = [], []
+    for start, stop, coef in zip(starts, bounds, coefs):
+        lo, hi = proj[start:stop].min(), proj[start:stop].max()
+        ends += [lo, hi]
+        weights += [0 if lo == hi else abs(int(coef))] * 2
+    for coef, box in rays.terms:
+        ends.append(float(box.low @ xi))
+        weights.append(abs(coef))
+    marks = np.unique(ends + [w for w in kernel.window if math.isfinite(w)])
+    close = marks[1:] - marks[:-1] <= 1e-9
+    near_marks = np.concatenate([marks[:-1][close], marks[1:][close]])
+    ends, weights = np.array(ends), np.array(weights, dtype=float)
+    near = np.isin(ends, near_marks)[weights > 0]
+    ends, weights = ends[weights > 0], weights[weights > 0]
+    with np.errstate(all="ignore"):  # near the float range it is inf
+        size = np.abs(kernel.antideriv(np.clip(ends, *kernel.window)))
+        rounding = float(np.sum(weights * (size + (size + 1.0) * (1.0 + np.abs(ends)))))
+        merge = float(np.sum(weights[near] * (size[near] + 1.0)))
+    return 1e-12 * (1.0 + rounding) + 1e-9 * merge
+
+
+def suite_transform_oracle(rng, cases):
+    """The vectorised transform engine against the pushforward route.
+
+    Scenes cycle through polytope, voxel, gamma and cone-closure sums; each
+    case draws a kernel and four forms (one sometimes large enough for the
+    Laplace kernel to overflow).  Per form, single-form calls must agree
+    with the pushforward paired against the kernel: the same value within
+    the pairing tolerance, or the same error.  The grid call over all four
+    forms must give the same missing cells, or raise the error of the first
+    form that raises one.
+    """
+    result = SuiteResult("transform_oracle", cases)
+    builders = (random_polytope_cfnd, random_voxel_cfnd, random_gamma_cfnd, random_ray_cfnd)
+    for i in range(cases):
+        phi = builders[i % 4](rng)
+        kernel = _random_kernel(rng)
+        positive = i % 4 == 3  # rays are proper on the positive quadrant only
+        forms = np.array([
+            random_direction(rng, 2, positive=positive and k < 3) * rng.uniform(0.25, 3.0)
+            for k in range(4)
+        ])
+        if rng.integers(8) == 0:
+            forms[3] *= 400.0
+        want = [
+            _outcome(lambda xi=xi: pushforward_linear(phi, xi).lebesgue_pair(kernel))
+            for xi in forms
+        ]
+        for xi, expected in zip(forms, want):
+            got = _outcome(lambda xi=xi: transforms.hybrid_transform(phi, xi, kernel))
+            label = f"case {i}: {kernel.name} window {kernel.window} at {xi}"
+            if isinstance(expected, str) or isinstance(got, str):
+                result.check_true(got == expected, f"{label}: got {got!r}, want {expected!r}")
+                continue
+            result.check_true(
+                type(got) is (complex if kernel.field == "complex" else float),
+                f"{label}: result type {type(got).__name__}",
+            )
+            tol = _pairing_tolerance(phi, xi, kernel)
+            result.check(abs(got - expected) / tol, 1.0, f"{label}: gap over tolerance")
+        errors = [w for w in want if w in ("improper", "overflow")]
+        grid = _outcome(lambda: transforms.hybrid_transform(phi, forms, kernel))
+        if errors or isinstance(grid, str):
+            want_grid = errors[0] if errors else "no error"
+            result.check_true(grid == want_grid, f"case {i}: grid {grid!r}, want {want_grid!r}")
+            continue
+        for xi, got, expected in zip(forms, grid, want):
+            if got is None or expected == "missing":
+                result.check_true(
+                    got is None and expected == "missing",
+                    f"case {i}: grid cell at {xi}: got {got!r}, want {expected!r}",
+                )
+            else:
+                tol = _pairing_tolerance(phi, xi, kernel)
+                result.check(abs(got - expected) / tol, 1.0, f"case {i}: grid cell at {xi}")
+    return result
+
+
 SUITES = {
     "geometry": suite_geometry,
     "cf1d_roundtrip": suite_cf1d_roundtrip,
@@ -662,6 +806,7 @@ SUITES = {
     "index_gr": suite_index_gr,
     "bessel_dual": suite_bessel_dual,
     "radon": suite_radon,
+    "transform_oracle": suite_transform_oracle,
 }
 
 

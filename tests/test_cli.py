@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eucalc import cli
+from eucalc import cli, transforms
 from eucalc.cf1d import CF1D
 from eucalc.verify import SUITES, run_suites
 
@@ -72,6 +72,43 @@ class TestTransformCommand:
             "--direction", "1,1", "--radius", "1", "--output", str(out),
         ])
         assert code == 3
+
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "flat.json"
+        scene.write_text(json.dumps({
+            "dimension": 3,
+            "terms": [{"coef": 1, "type": "polytope", "points": [[0, 0], [1, 0]]}],
+        }))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", "--input", str(scene), "--direction", "1,0,0",
+                      "--radius", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("grid", [
+        ["--directions", "4", "--radii", "1:x:3"],
+        ["--directions", "4", "--radii", "1:2:x"],
+        ["--direction", "1,x", "--radius", "1"],
+    ])
+    def test_bad_grid_exits_2(self, triangle_scene, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["transform", "--input", triangle_scene] + grid)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        scene = tmp_path / "solid.json"
+        scene.write_text(json.dumps({
+            "dimension": 2,
+            "terms": [{"coef": 1, "type": "polytope", "points": [[0, 0], [1, 0], [0, 2]]}],
+        }))
+        code = cli.main(["transform", "--input", str(scene), "--direction=-1000,0",
+                         "--radius", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_byte_stable_outputs(self, triangle_scene, tmp_path):
         args = ["transform", "--input", triangle_scene, "--kernel", "fourier",
@@ -147,6 +184,22 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(CF1D, "dualize", broken)
         code = cli.main(["verify", "--suite", "duality_pairing", "--cases", "5"])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_skewed_laplace_fails_transform_oracle(self, monkeypatch, capsys):
+        original = transforms.hybrid_transform
+
+        def skewed(phi, xis, kernel):
+            values = original(phi, xis, kernel)
+            if kernel.name != "laplace":
+                return values
+            if isinstance(values, list):
+                return [None if v is None else v * (1 + 1e-7) for v in values]
+            return values * (1 + 1e-7)
+
+        monkeypatch.setattr(transforms, "hybrid_transform", skewed)
+        code = cli.main(["verify", "--suite", "transform_oracle", "--cases", "20"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 

@@ -15,12 +15,13 @@ from eucalc.cfnd import (
     pushforward_linear,
     translate,
 )
-from eucalc.errors import NonIntegrable
+from eucalc.errors import ImproperConvolution, NonIntegrable
 from eucalc.geometry import OrthantCone, Polytope
 from eucalc.verify import (
     lebesgue_fourier_voxels,
     lebesgue_laplace_voxels,
     random_voxel_cfnd,
+    run_suites,
 )
 
 
@@ -107,11 +108,6 @@ class TestNamedTransforms:
     def test_ecb_transform(self):
         seg = CFND.from_polytope_points([[0.0], [5.0]])
         assert transforms.ecb_transform(seg, [1.0], 2.0) == pytest.approx(2.0)
-
-    def test_magnitude_alias(self):
-        phi = CFND.from_box([0.0, 0.0], [1.0, 1.0])
-        xi = [0.7, 1.3]
-        assert transforms.magnitude(phi, xi) == transforms.euler_laplace(phi, xi)
 
     def test_polygon_boundary_approximates_circle(self):
         phi = polygon_boundary(64)
@@ -238,14 +234,6 @@ class TestGrid:
         )
         assert grid.missing_fraction() == 1.0
 
-    def test_threads_match_serial(self):
-        phi = gamma_triangle(2.0)
-        dirs = transforms.direction_circle(6)
-        radii = [0.5, 1.0, 1.5]
-        serial = transforms.grid_eval(phi, kernels.laplace(), dirs, radii, threads=1)
-        pooled = transforms.grid_eval(phi, kernels.laplace(), dirs, radii, threads=4)
-        assert serial.values == pooled.values
-
     def test_csv_format(self):
         phi = gamma_triangle(1.0)
         grid = transforms.grid_eval(phi, kernels.laplace(), [[1.0, 1.0]], [1.0, 2.0])
@@ -273,3 +261,69 @@ def test_noncompact_needs_integrable_kernel():
     assert transforms.euler_laplace(rays, [1.0, 1.0]) == pytest.approx(1.0)
     with pytest.raises(NonIntegrable):
         transforms.euler_fourier(rays, [1.0, 1.0])
+
+
+def ray_closure(phi):
+    return cone_closure(phi, OrthantCone.nonpositive(2))
+
+
+class TestEngineParity:
+    """The vectorised engine keeps the pushforward route's behaviour."""
+
+    def test_cancelling_rays_stay_integrable_under_fourier(self):
+        box = CFND.from_box([0.0, 0.0], [1.0, 0.5])
+        rays = ray_closure(box)
+        assert all(not g.is_bounded for _, g in rays.terms)
+        xi = np.array([0.7, 1.3])
+        assert transforms.euler_fourier(rays, xi) == pytest.approx(
+            transforms.euler_fourier(box, xi), abs=1e-12
+        )
+        grid = transforms.grid_eval(rays, kernels.fourier(), [[1.0, 2.0]], [0.5, 1.0])
+        assert None not in grid.values[0]
+
+    def test_net_ray_gives_missing_cell(self):
+        net = ray_closure(CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]]))
+        phi = net + gamma_triangle(2.0)
+        grid = transforms.grid_eval(phi, kernels.fourier(), [[1.0, 1.0]], [0.5, 1.0])
+        assert grid.values == [[None, None]]
+        laplace = transforms.grid_eval(phi, kernels.laplace(), [[1.0, 1.0]], [0.5, 1.0])
+        assert None not in laplace.values[0]
+
+    def test_mixed_signs_on_ray_box_are_improper(self):
+        rays = ray_closure(CFND.from_box([0.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(ImproperConvolution):
+            transforms.euler_laplace(rays, [1.0, -1.0])
+        with pytest.raises(ImproperConvolution):
+            transforms.grid_eval(rays, kernels.laplace(), [[1.0, 1.0], [1.0, -1.0]], [1.0])
+
+    def test_laplace_overflow_raises(self):
+        triangle = CFND.from_polytope_points([[0, 0], [1, 0], [0, 2]])
+        with pytest.raises(OverflowError):
+            transforms.euler_laplace(triangle, (-1000, 0))
+        with pytest.raises(OverflowError):
+            transforms.grid_eval(triangle, kernels.laplace(), [[-1.0, 0.0]], [1.0, 1000.0])
+
+    def test_single_cell_results_are_python_scalars(self):
+        phi = gamma_triangle(2.0) + CFND.from_box([0.0, 0.0], [1.0, 0.5])
+        xi = [0.8, 1.1]
+        assert type(transforms.euler_laplace(phi, xi)) is float
+        assert type(transforms.gr_euler_fourier(phi, xi)) is float
+        assert type(transforms.ecb_transform(phi, xi, 0.5)) is float
+        assert type(transforms.euler_fourier(phi, xi)) is complex
+        assert type(transforms.euler_fourier(CFND(2, ()), xi)) is complex
+        grid = transforms.grid_eval(phi, kernels.fourier(), [xi], [1.0, 2.0])
+        assert all(type(v) is complex for v in grid.values[0])
+
+    def test_grid_matches_single_forms(self):
+        phi = random_voxel_cfnd(np.random.default_rng(5)) + gamma_triangle(1.0)
+        dirs = transforms.direction_circle(5)
+        radii = [0.5, 1.0, 2.5]
+        for kernel in (kernels.laplace(), kernels.compose_window(kernels.fourier(), -1, 2)):
+            grid = transforms.grid_eval(phi, kernel, dirs, radii)
+            for direction, row in zip(dirs, grid.values):
+                for r, value in zip(radii, row):
+                    assert value == transforms.hybrid_transform(phi, r * direction, kernel)
+
+    def test_oracle_suite_passes(self):
+        (result,) = run_suites(["transform_oracle"], seed=7, cases=100)
+        assert result.passed, result.failures[:3]
