@@ -12,6 +12,7 @@ All ring operations, Euler integration, convolution, duality, affine
 pushforwards and Lebesgue pairing against kernels are exact on this class.
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -27,14 +28,14 @@ EPS = 1e-9
 
 
 def _cluster(values):
-    """Merge a sorted value list into representatives at least EPS apart.
+    """Merge values into sorted representatives at least EPS apart.
 
-    Returns (reps, snap) where snap maps every input value to the leftmost
-    representative of its cluster.
+    Returns (reps, snap) where snap maps every input value (as a float) to
+    the leftmost representative of its cluster.
     """
     reps = []
     snap = {}
-    for v in values:
+    for v in sorted(float(x) for x in values):
         if reps and v - reps[-1] <= EPS:
             snap[v] = reps[-1]
         else:
@@ -56,7 +57,12 @@ class CF1D:
             raise ValueError("need one interval value more than breakpoints")
         if len(point_values) != len(breakpoints):
             raise ValueError("need one point value per breakpoint")
-        if any(b2 - b1 <= EPS for b1, b2 in zip(breakpoints, breakpoints[1:])):
+        if breakpoints and not (
+            math.isfinite(breakpoints[0]) and math.isfinite(breakpoints[-1])
+        ):
+            raise ValueError("breakpoints must be finite")
+        # NaN compares false, so a NaN between finite ends fails here too
+        if not all(b2 - b1 > EPS for b1, b2 in zip(breakpoints, breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
         # drop removable breakpoints
         keep_b, keep_pv, keep_iv = [], [], [interval_values[0]]
@@ -125,14 +131,17 @@ class CF1D:
         """Canonical function from candidate breakpoints and a pointwise rule.
 
         Candidates are merged within EPS (leftmost representative wins); fn is
-        probed at each representative and at interval midpoints.
+        probed at each representative, at interval midpoints, and beyond the
+        outer representatives b at b -/+ 1 or at the next float past b,
+        whichever is farther: b -/+ 1 rounds onto b once |b| >= 2**53, and a
+        distance of |b| would overflow once |b| > 2**1023.
         """
-        reps, _ = _cluster(sorted(float(b) for b in candidate_breakpoints))
+        reps, _ = _cluster(candidate_breakpoints)
         if not reps:
             return cls((), (), (int(fn(0.0)),))
-        probes_iv = [reps[0] - 1.0]
+        probes_iv = [min(reps[0] - 1.0, math.nextafter(reps[0], -math.inf))]
         probes_iv += [(a + b) / 2.0 for a, b in zip(reps, reps[1:])]
-        probes_iv += [reps[-1] + 1.0]
+        probes_iv += [max(reps[-1] + 1.0, math.nextafter(reps[-1], math.inf))]
         return cls(reps, [fn(b) for b in reps], [fn(x) for x in probes_iv])
 
     # -- basic queries --------------------------------------------------------
@@ -434,7 +443,7 @@ def recompose(generators):
             endpoints.append(g.b)
     if not endpoints:
         return CF1D.zero()
-    _, snap = _cluster(sorted(endpoints))
+    _, snap = _cluster(endpoints)
 
     snapped = []
     for g in gens:

@@ -25,14 +25,31 @@ def _parse_floats(text):
     return np.array([float(x) for x in text.split(",")], dtype=float)
 
 
+def _fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse_point(text, dim, option):
+    """A comma-separated finite point with dim coordinates; exit 2 otherwise."""
+    try:
+        point = _parse_floats(text)
+    except ValueError as exc:
+        _fail(f"bad {option}: {exc}")
+    if point.size != dim:
+        _fail(f"{option} needs {dim} coordinates, got {point.size}")
+    if not np.isfinite(point).all():
+        _fail(f"{option} must be finite")
+    return point
+
+
 def _load_json(path, loader, kind):
     try:
         with open(path) as handle:
             data = json.load(handle)
         return loader(data)
     except (OSError, ValueError, KeyError, TypeError, EucalcError) as exc:
-        print(f"error: cannot read {kind} {path!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        _fail(f"cannot read {kind} {path!r}: {exc}")
 
 
 def _open_output(path):
@@ -43,22 +60,12 @@ def _open_output(path):
 
 def _directions(args, dim):
     if args.direction:
-        try:
-            dirs = np.array([_parse_floats(d) for d in args.direction])
-        except ValueError as exc:
-            print(f"error: bad direction: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-        if dirs.shape[1] != dim:
-            print("error: direction dimension mismatch", file=sys.stderr)
-            raise SystemExit(2)
-        return dirs
+        return np.array([_parse_point(d, dim, "--direction") for d in args.direction])
     if args.directions:
         if dim != 2:
-            print("error: --directions circle needs dimension 2", file=sys.stderr)
-            raise SystemExit(2)
+            _fail("--directions circle needs dimension 2")
         return transforms.direction_circle(args.directions)
-    print("error: need --direction or --directions", file=sys.stderr)
-    raise SystemExit(2)
+    _fail("need --direction or --directions")
 
 
 def _radii(args):
@@ -69,10 +76,8 @@ def _radii(args):
             lo, hi, steps = args.radii.split(":")
             return np.linspace(float(lo), float(hi), int(steps))
     except ValueError as exc:
-        print(f"error: bad radii: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    print("error: need --radius or --radii lo:hi:steps", file=sys.stderr)
-    raise SystemExit(2)
+        _fail(f"bad radii: {exc}")
+    _fail("need --radius or --radii lo:hi:steps")
 
 
 def cmd_transform(args):
@@ -103,7 +108,7 @@ def cmd_transform(args):
 
 def cmd_ect(args):
     complex_, _ = _load_json(args.mesh, mesh_from_json, "mesh")
-    xi = _parse_floats(args.xi)
+    xi = _parse_point(args.xi, complex_.dimension, "--xi")
     curve = ect(complex_, xi)
     stream, close = _open_output(args.output)
     try:
@@ -119,11 +124,11 @@ def cmd_ect(args):
 
 def cmd_bessel(args):
     complex_, _ = _load_json(args.mesh, mesh_from_json, "mesh")
-    centers = [_parse_floats(c) for c in args.center]
+    dim = complex_.dimension
+    centers = [_parse_point(c, dim, "--center") for c in args.center]
     stream, close = _open_output(args.output)
     try:
         writer = csv.writer(stream, lineterminator="\n")
-        dim = complex_.dimension
         writer.writerow([f"v_{k + 1}" for k in range(dim)] + ["value"])
         for center in centers:
             value = euler_bessel(complex_, center)
@@ -144,19 +149,24 @@ def cmd_sublevel(args):
     filtration = None if values is None else values.reshape(-1, 1)
     dim = complex_.dimension if filtration is None else 1
     directions = _directions(args, dim)
+    results = []
+    try:
+        for xi in directions:
+            try:
+                z = complex(sublevel_transform(complex_, filtration, xi, kernel))
+                results.append([repr(z.real), repr(z.imag)])
+            except NonIntegrable:
+                results.append(["", ""])
+    except (EucalcError, ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    missing = results.count(["", ""])
     stream, close = _open_output(args.output)
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([f"dir_{k + 1}" for k in range(dim)] + ["re", "im"])
-        missing = 0
-        for xi in directions:
-            row = [repr(float(c)) for c in xi]
-            try:
-                z = complex(sublevel_transform(complex_, filtration, xi, kernel))
-                writer.writerow(row + [repr(z.real), repr(z.imag)])
-            except NonIntegrable:
-                missing += 1
-                writer.writerow(row + ["", ""])
+        for xi, result in zip(directions, results):
+            writer.writerow([repr(float(c)) for c in xi] + result)
     finally:
         if close:
             stream.close()
@@ -174,14 +184,14 @@ def cmd_radon_recover(args):
               file=sys.stderr)
         return 2
     cone = OrthantCone.nonpositive(scene.dimension)
-    xi = _parse_floats(args.xi)
-    params = RecoveryParams(A=args.A, ds=args.ds, delta=args.delta)
+    xi = _parse_point(args.xi, scene.dimension, "--xi")
     try:
+        params = RecoveryParams(A=args.A, ds=args.ds, delta=args.delta)
         recovered = recover_pushforward(scene, cone, xi, args.t, params)
         from .cfnd import pushforward_linear
 
         exact = pushforward_linear(scene, xi).evaluate(args.t)
-    except EucalcError as exc:
+    except (EucalcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"recovered {recovered!r}")

@@ -1,17 +1,19 @@
 """Euler-characteristic curves and transforms on embedded simplicial complexes.
 
-The single computational engine is a face-poset recursion for the compactly
+The single computational engine is one weighted cell count for the compactly
 supported Euler characteristic of the part of a region S inside the complex:
-writing s^ for the intersection of a set with S,
 
-    chi_c(relint(c)^) = [cl(c)^ nonempty] - sum of chi_c(relint(f)^)
-                        over the proper faces f of the cell c,
+    chi(S & K) = sum over cells c of w_c * [cl(c) meets S],
+    w_c = sum over cells s containing c of (-1)^(dim s - dim c),
 
-valid whenever every cl(c)^ is empty or compact convex (half-spaces, slabs,
-slices and closed balls all qualify).  Everything else -- sublevel and level
-curves, Euler-characteristic transforms, continuous Euler integrals, the
-Euler-Bessel transform and the index-formula checks -- is assembled from it
-plus the 1-D step algebra.
+the Moebius inversion over the face poset of chi_c(relint(c) & S) =
+[cl(c) meets S] - sum of chi_c(relint(f) & S) over the proper faces f of c.
+It is exact whenever every cl(c) & S is empty or compact convex (half-spaces,
+slabs, slices and closed balls all qualify) and the oracle is honest: a cell
+that misses S has no face that meets it.  Everything else -- sublevel and
+level curves, Euler-characteristic transforms, continuous Euler integrals,
+the Euler-Bessel transform and the index-formula checks -- is assembled from
+it plus the 1-D step algebra.
 """
 
 from dataclasses import dataclass
@@ -19,11 +21,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .cf1d import CF1D
+from .cf1d import CF1D, EPS, _cluster
 from .errors import MonotonicityUnknown
 from .geometry import dist_to_simplex
-
-_CLUSTER_EPS = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +31,8 @@ class EmbeddedComplex:
     """Geometric simplicial complex: vertex table plus face-closed cell set.
 
     Cells are sorted tuples of vertex indices.  The realized space is the
-    union of the closed simplices; it is compact.
+    union of the closed simplices; it is compact.  ``weighted_cells`` holds
+    the pairs (cell, w_c) of the cells whose chi_region weight is non-zero.
     """
 
     vertices: np.ndarray
@@ -49,35 +50,29 @@ class EmbeddedComplex:
             for size in range(1, len(cell) + 1):
                 closed.update(combinations(cell, size))
         cells = tuple(sorted(closed, key=lambda c: (len(c), c)))
+        weights = dict.fromkeys(cells, 0)
         for cell in cells:
             pts = vertices[list(cell)]
             if len(cell) > 1:
                 rank = np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-12)
                 if rank != len(cell) - 1:
                     raise ValueError(f"cell {cell} is not affinely independent")
+            for size in range(1, len(cell) + 1):
+                for face in combinations(cell, size):
+                    weights[face] += (-1) ** (len(cell) - size)
         vertices = vertices.copy()
         vertices.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(
             self,
-            "_faces",
-            {
-                cell: [
-                    face
-                    for size in range(1, len(cell))
-                    for face in combinations(cell, size)
-                ]
-                for cell in cells
-            },
+            "weighted_cells",
+            tuple((cell, w) for cell, w in weights.items() if w),
         )
 
     @property
     def dimension(self):
         return self.vertices.shape[1]
-
-    def proper_faces(self, cell):
-        return self._faces[cell]
 
     def cell_points(self, cell):
         return self.vertices[list(cell)]
@@ -117,7 +112,7 @@ class StepCurve:
         cleaned = [(float(c), int(m)) for c, m in jumps if m != 0]
         cleaned.sort()
         if any(
-            b - a <= _CLUSTER_EPS for (a, _), (b, _) in zip(cleaned, cleaned[1:])
+            b - a <= EPS for (a, _), (b, _) in zip(cleaned, cleaned[1:])
         ):
             raise ValueError("jump locations must be distinct")
         self.jumps = tuple(cleaned)
@@ -136,7 +131,7 @@ class StepCurve:
 
     def equals(self, other):
         return len(self.jumps) == len(other.jumps) and all(
-            abs(c1 - c2) <= _CLUSTER_EPS and m1 == m2
+            abs(c1 - c2) <= EPS and m1 == m2
             for (c1, m1), (c2, m2) in zip(self.jumps, other.jumps)
         )
 
@@ -147,24 +142,17 @@ class StepCurve:
 def chi_region(complex_, cell_meets_region):
     """Euler characteristic of the part of the complex inside a region S.
 
-    The oracle answers "does the closed cell meet S"; the caller guarantees
-    every such intersection is empty or compact convex, which makes the
-    face-poset recursion exact.
+    The oracle answers "does the closed cell meet S".  The caller guarantees
+    that every such intersection is empty or compact convex, and that the
+    oracle is honest: if a cell does not meet S, none of its faces does.
+    Then chi is the sum of the fixed weights w_c of the cells that meet S.
     """
-    memo = {}
+    return sum(w for cell, w in complex_.weighted_cells if cell_meets_region(cell))
 
-    def relint_chi(cell):
-        got = memo.get(cell)
-        if got is not None:
-            return got
-        if not cell_meets_region(cell):
-            val = 0
-        else:
-            val = 1 - sum(relint_chi(face) for face in complex_.proper_faces(cell))
-        memo[cell] = val
-        return val
 
-    return sum(relint_chi(cell) for cell in complex_.cells)
+def _alternating_count(complex_, keep):
+    """Sum of (-1)^dim over the cells that keep accepts."""
+    return sum((-1) ** (len(cell) - 1) for cell in complex_.cells if keep(cell))
 
 
 def euler_characteristic(complex_):
@@ -188,20 +176,7 @@ def chi_open_ball_region(complex_, v, t, dists=None):
     """
     if dists is None:
         dists = cell_distances(complex_, v)
-    return sum(
-        (-1) ** (len(cell) - 1)
-        for cell in complex_.cells
-        if dists[cell] < t
-    )
-
-
-def _candidates(values):
-    """Sorted distinct candidate breakpoints (clustered within tolerance)."""
-    out = []
-    for v in sorted(float(x) for x in values):
-        if not out or v - out[-1] > _CLUSTER_EPS:
-            out.append(v)
-    return out
+    return _alternating_count(complex_, lambda cell: dists[cell] < t)
 
 
 def _curve_from_levels(candidates, level_at):
@@ -223,7 +198,7 @@ def sublevel_curve(complex_, g):
     <= t"; the curve only jumps at vertex values.
     """
     mins = {cell: g.cell_min(cell) for cell in complex_.cells}
-    candidates = _candidates(g.vertex_values)
+    candidates = _cluster(g.vertex_values)[0]
     return _curve_from_levels(
         candidates,
         lambda t: chi_region(complex_, lambda cell: mins[cell] <= t),
@@ -244,7 +219,7 @@ def superlevel_cf1d(complex_, g):
     """chi of the superlevel set {g >= t} as an exact CF1D in t."""
     maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
     return CF1D.from_evaluator(
-        _candidates(g.vertex_values),
+        g.vertex_values,
         lambda t: chi_region(complex_, lambda cell: maxs[cell] >= t),
     )
 
@@ -258,7 +233,7 @@ def level_curve(complex_, g):
     mins = {cell: g.cell_min(cell) for cell in complex_.cells}
     maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
     return CF1D.from_evaluator(
-        _candidates(g.vertex_values),
+        g.vertex_values,
         lambda t: chi_region(
             complex_, lambda cell: mins[cell] <= t <= maxs[cell]
         ),
@@ -306,18 +281,14 @@ def distance_curves(complex_, v):
     convexly, and the open-ball complement has the closed-form chi_c.
     """
     dists = cell_distances(complex_, v)
-    candidates = _candidates(dists.values())
+    candidates = _cluster(dists.values())[0]
     sub = _curve_from_levels(
         candidates,
         lambda t: chi_region(complex_, lambda cell: dists[cell] <= t),
     )
 
     def superlevel_at(s):
-        return sum(
-            (-1) ** (len(cell) - 1)
-            for cell in complex_.cells
-            if dists[cell] >= s
-        )
+        return _alternating_count(complex_, lambda cell: dists[cell] >= s)
 
     sup = []
     values = [superlevel_at(c) for c in candidates]
@@ -336,16 +307,12 @@ def euler_bessel(complex_, v):
     sum; it vanishes beyond the largest cell distance.
     """
     dists = cell_distances(complex_, v)
-    breakpoints = [0.0] + [c for c in _candidates(dists.values()) if c > 0]
+    breakpoints = [0.0] + [c for c in _cluster(dists.values())[0] if c > 0]
     total = 0.0
     for lo, hi in zip(breakpoints, breakpoints[1:]):
         mid = (lo + hi) / 2
         ball = chi_region(complex_, lambda cell: dists[cell] <= mid)
-        open_ball = sum(
-            (-1) ** (len(cell) - 1)
-            for cell in complex_.cells
-            if dists[cell] < mid
-        )
+        open_ball = _alternating_count(complex_, lambda cell: dists[cell] < mid)
         total += (ball - open_ball) * (hi - lo)
     return total
 
@@ -465,11 +432,11 @@ def full_subcomplex_curve(complex_, g):
 
     At every t the sublevel set retracts onto the full subcomplex spanned by
     vertices with value <= t, so chi is the alternating count of cells whose
-    largest vertex value is <= t.  Independent of the face-poset recursion.
+    largest vertex value is <= t.  Independent of chi_region's weights.
     """
     maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
     return _curve_from_levels(
-        _candidates(g.vertex_values),
+        _cluster(g.vertex_values)[0],
         lambda t: sum(
             (-1) ** (len(cell) - 1)
             for cell in complex_.cells

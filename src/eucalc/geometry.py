@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-EPS = 1e-9
+from .cf1d import EPS
 
 
 def as_vector(x):

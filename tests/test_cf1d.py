@@ -38,6 +38,35 @@ class TestCanonicalForm:
         assert (CF1D.segment(0, 2) - CF1D.point(2)).equals(CF1D.half_open(0, 2))
 
 
+class TestLargeAndNonFinite:
+    @pytest.mark.parametrize("a, b", [(0.0, 1e17), (-1e17, 0.0), (-3e20, 5e20)])
+    def test_huge_segment_survives_addition(self, a, b):
+        total = CF1D.zero() + CF1D.segment(a, b)
+        assert total.equals(CF1D.segment(a, b))
+        assert total.euler_integral() == 1
+
+    @pytest.mark.parametrize("b", [-1e308, -3e20, 3e20, 1e308])
+    def test_ray_at_huge_breakpoint_survives_restrict(self, b):
+        for ray in (CF1D.ray_up(b), CF1D.ray_down(b)):
+            assert ray.restrict(-math.inf, math.inf).equals(ray)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CF1D.segment(math.nan, 1.0),
+        lambda: CF1D.segment(0.0, math.inf),
+        lambda: CF1D.point(math.nan),
+        lambda: CF1D.ray_up(-math.inf),
+        lambda: CF1D((0.0, math.inf), (1, 1), (0, 1, 0)),
+        lambda: CF1D.from_evaluator([0.0, math.nan], lambda x: 0),
+    ])
+    def test_non_finite_breakpoint_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    def test_nan_between_finite_breakpoints_rejected(self):
+        with pytest.raises(ValueError):
+            CF1D((0.0, math.nan, 2.0), (1, 1, 1), (0, 1, 1, 0))
+
+
 class TestEulerIntegral:
     def test_closed_interval(self):
         assert CF1D.segment(-2, 5).euler_integral() == 1

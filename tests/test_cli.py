@@ -40,6 +40,20 @@ def hollow_square_mesh(tmp_path):
     return str(path)
 
 
+def exit_code(argv):
+    """Exit status of one CLI call, whether returned or raised."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestTransformCommand:
     def test_grid_row_count(self, triangle_scene, tmp_path):
         out = tmp_path / "out.csv"
@@ -149,6 +163,24 @@ class TestCurveCommands:
         assert lines[0] == "dir_1,dir_2,re,im"
         assert len(lines) == 17
 
+    @pytest.mark.parametrize("xi", ["1,x", "1,2,3", "nan,0"])
+    def test_bad_ect_xi_exits_2(self, hollow_square_mesh, xi, capsys):
+        assert exit_code(["ect", "--mesh", hollow_square_mesh, "--xi", xi]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("center", ["1,x", "1,2,3", "nan,0"])
+    def test_bad_bessel_center_exits_2(self, hollow_square_mesh, center, capsys):
+        argv = ["bessel", "--mesh", hollow_square_mesh, "--center", "0,0",
+                "--center", center]
+        assert exit_code(argv) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("direction", ["-1000,0", "nan,0"])
+    def test_bad_sublevel_direction_exits_2(self, hollow_square_mesh, direction, capsys):
+        argv = ["sublevel", "--mesh", hollow_square_mesh, f"--direction={direction}"]
+        assert exit_code(argv) == 2
+        assert_one_error_line(capsys)
+
 
 class TestRadonCommand:
     def test_prints_recovered_and_exact(self, unit_cell_scene, capsys):
@@ -161,6 +193,17 @@ class TestRadonCommand:
         exact = float(out[1].split()[1])
         assert exact == 1.0
         assert abs(recovered - exact) < 0.05
+
+
+    @pytest.mark.parametrize("extra", [
+        ["--xi", "1,x"],
+        ["--xi", "1,2,3"],
+        ["--xi", "1,1", "--ds", "0"],
+    ])
+    def test_bad_arguments_exit_2(self, unit_cell_scene, extra, capsys):
+        argv = ["radon-recover", "--input", unit_cell_scene, "--t", "0.5"] + extra
+        assert exit_code(argv) == 2
+        assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:

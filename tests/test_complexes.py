@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eucalc import kernels
 from eucalc.cf1d import CF1D
@@ -10,6 +12,7 @@ from eucalc.complexes import (
     EmbeddedComplex,
     PLFunction,
     StepCurve,
+    cell_distances,
     chi_open_ball_region,
     chi_region,
     distance_curves,
@@ -84,6 +87,68 @@ class TestChiOpenBall:
     def test_segment_midpoint(self):
         z = EmbeddedComplex([[0.0], [1.0]], [(0, 1)])
         assert chi_open_ball_region(z, np.array([0.5]), 0.25) == -1
+
+
+def reference_chi(complex_, meets):
+    """chi by the face-poset recursion over relative interiors."""
+    memo = {}
+
+    def relint_chi(cell):
+        if cell not in memo:
+            faces = [f for k in range(1, len(cell)) for f in combinations(cell, k)]
+            memo[cell] = (1 - sum(map(relint_chi, faces))) if meets(cell) else 0
+        return memo[cell]
+
+    return sum(relint_chi(cell) for cell in complex_.cells)
+
+
+@st.composite
+def complexes_with_values(draw):
+    """Non-pure complexes of dimension <= 3 in R^3 with integer vertex values.
+
+    Vertices sit on the moment curve (s, s^2, s^3), where any four are
+    affinely independent, so every drawn vertex set spans a simplex.
+    Single vertices, hollow cycles and mixed dimensions all occur.
+    """
+    n = draw(st.integers(1, 7))
+    cells = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=4), min_size=1, max_size=8
+    ))
+    s = np.arange(n, dtype=float)
+    complex_ = EmbeddedComplex(np.stack([s, s**2, s**3], axis=1), [tuple(c) for c in cells])
+    values = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return complex_, PLFunction(complex_, values)
+
+
+class TestWeightedCount:
+    @settings(max_examples=150, deadline=None)
+    @given(complexes_with_values(), st.data())
+    def test_matches_face_poset_recursion(self, drawn, data):
+        complex_, g = drawn
+        mins = {c: g.cell_min(c) for c in complex_.cells}
+        maxs = {c: g.cell_max(c) for c in complex_.cells}
+        t = data.draw(st.sampled_from(sorted(set(g.vertex_values))))
+        center = np.array(data.draw(st.lists(st.integers(-2, 8), min_size=3, max_size=3)), float)
+        dists = cell_distances(complex_, center)
+        r = data.draw(st.sampled_from(sorted(set(dists.values()))))
+        oracles = [
+            lambda c: mins[c] <= t,
+            lambda c: mins[c] <= t <= maxs[c],
+            lambda c: maxs[c] >= t,
+            lambda c: dists[c] <= r,
+        ]
+        for meets in oracles:
+            assert chi_region(complex_, meets) == reference_chi(complex_, meets)
+
+    def test_only_interior_cells_of_a_disk_carry_weight(self):
+        fan = EmbeddedComplex(
+            [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]],
+            [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4)],
+        )
+        weights = dict(fan.weighted_cells)
+        assert (1,) not in weights and (1, 2) not in weights
+        assert weights[(0,)] == 1 and weights[(0, 1)] == -1
+        assert weights[(0, 1, 2)] == 1 and len(weights) == 9
 
 
 class TestSublevelCurve:
