@@ -83,10 +83,6 @@ class CF1D:
         return cls((), (), (0,))
 
     @classmethod
-    def constant(cls, c):
-        return cls((), (), (int(c),))
-
-    @classmethod
     def point(cls, p, value=1):
         return cls((p,), (value,), (0, 0))
 
@@ -420,17 +416,6 @@ class IntervalGenerator:
     a: float
     b: float = None
     coefficient: int = 1
-
-    def indicator(self):
-        if self.kind == "segment":
-            return CF1D.segment(self.a, self.b, self.coefficient)
-        if self.kind == "point":
-            return CF1D.point(self.a, self.coefficient)
-        if self.kind == "ray_up":
-            return CF1D.ray_up(self.a, self.coefficient)
-        if self.kind == "ray_down":
-            return CF1D.ray_down(self.a, self.coefficient)
-        raise ValueError(f"unknown generator kind {self.kind!r}")
 
 
 def recompose(generators):

@@ -9,6 +9,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -52,10 +53,21 @@ def _load_json(path, loader, kind):
         _fail(f"cannot read {kind} {path!r}: {exc}")
 
 
-def _open_output(path):
+def _parse_kernel(text):
+    try:
+        return kernels.parse(text)
+    except ValueError as exc:
+        _fail(exc)
+
+
+@contextmanager
+def _output(path):
+    """The CSV destination: stdout for None or "-", else the file, closed after."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as stream:
+            yield stream
 
 
 def _directions(args, dim):
@@ -82,23 +94,14 @@ def _radii(args):
 
 def cmd_transform(args):
     scene = _load_json(args.input, scene_from_json, "scene")
-    try:
-        kernel = kernels.parse(args.kernel)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kernel = _parse_kernel(args.kernel)
     directions, radii = _directions(args, scene.dimension), _radii(args)
     try:
         grid = transforms.grid_eval(scene, kernel, directions, radii)
     except (EucalcError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stream, close = _open_output(args.output)
-    try:
+        _fail(exc)
+    with _output(args.output) as stream:
         transforms.grid_to_csv(grid, stream)
-    finally:
-        if close:
-            stream.close()
     if grid.missing_fraction() > 0.5:
         print("error: more than half of the grid cells are non-integrable",
               file=sys.stderr)
@@ -110,15 +113,11 @@ def cmd_ect(args):
     complex_, _ = _load_json(args.mesh, mesh_from_json, "mesh")
     xi = _parse_point(args.xi, complex_.dimension, "--xi")
     curve = ect(complex_, xi)
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["t", "jump"])
         for t, jump in curve.jumps:
             writer.writerow([repr(t), jump])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -126,26 +125,18 @@ def cmd_bessel(args):
     complex_, _ = _load_json(args.mesh, mesh_from_json, "mesh")
     dim = complex_.dimension
     centers = [_parse_point(c, dim, "--center") for c in args.center]
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([f"v_{k + 1}" for k in range(dim)] + ["value"])
         for center in centers:
             value = euler_bessel(complex_, center)
             writer.writerow([repr(float(c)) for c in center] + [repr(value)])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
 def cmd_sublevel(args):
     complex_, values = _load_json(args.mesh, mesh_from_json, "mesh")
-    try:
-        kernel = kernels.parse(args.kernel)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kernel = _parse_kernel(args.kernel)
     filtration = None if values is None else values.reshape(-1, 1)
     dim = complex_.dimension if filtration is None else 1
     directions = _directions(args, dim)
@@ -158,18 +149,13 @@ def cmd_sublevel(args):
             except NonIntegrable:
                 results.append(["", ""])
     except (EucalcError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _fail(exc)
     missing = results.count(["", ""])
-    stream, close = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow([f"dir_{k + 1}" for k in range(dim)] + ["re", "im"])
         for xi, result in zip(directions, results):
             writer.writerow([repr(float(c)) for c in xi] + result)
-    finally:
-        if close:
-            stream.close()
     if missing * 2 > len(directions):
         print("error: more than half of the directions are non-integrable",
               file=sys.stderr)
@@ -180,9 +166,7 @@ def cmd_sublevel(args):
 def cmd_radon_recover(args):
     scene = _load_json(args.input, scene_from_json, "scene")
     if args.gamma != "neg":
-        print("error: only --gamma neg (nonpositive orthant) is supported",
-              file=sys.stderr)
-        return 2
+        _fail("only --gamma neg (nonpositive orthant) is supported")
     cone = OrthantCone.nonpositive(scene.dimension)
     xi = _parse_point(args.xi, scene.dimension, "--xi")
     try:
@@ -192,8 +176,7 @@ def cmd_radon_recover(args):
 
         exact = pushforward_linear(scene, xi).evaluate(args.t)
     except (EucalcError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _fail(exc)
     print(f"recovered {recovered!r}")
     print(f"exact {exact!r}")
     return 0
@@ -204,8 +187,7 @@ def cmd_verify(args):
     try:
         results = run_suites(names=names, seed=args.seed, cases=args.cases)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        _fail(exc)
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"

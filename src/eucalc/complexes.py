@@ -14,6 +14,13 @@ that misses S has no face that meets it.  Everything else -- sublevel and
 level curves, Euler-characteristic transforms, continuous Euler integrals,
 the Euler-Bessel transform and the index-formula checks -- is assembled from
 it plus the 1-D step algebra.
+
+Every curve builder snaps its cell values once: values within cf1d.EPS merge
+into their cluster's leftmost representative (cf1d._cluster's rule), and each
+cell's value is replaced by that representative before any comparison, so a
+curve evaluated at a representative counts the whole cluster.  The
+Euler-Bessel transform needs no sweep at all: it is the closed form
+sum over cells c of ((-1)^dim c - w_c) * d_c in the snapped distances d_c.
 """
 
 from dataclasses import dataclass
@@ -150,6 +157,16 @@ def chi_region(complex_, cell_meets_region):
     return sum(w for cell, w in complex_.weighted_cells if cell_meets_region(cell))
 
 
+def _snapped(values):
+    """Representatives of a {cell: value} map and the map snapped onto them.
+
+    Values within EPS share their cluster's leftmost representative, so a
+    comparison at a representative counts every cell of its cluster.
+    """
+    reps, snap = _cluster(values.values())
+    return reps, {cell: snap[float(v)] for cell, v in values.items()}
+
+
 def _alternating_count(complex_, keep):
     """Sum of (-1)^dim over the cells that keep accepts."""
     return sum((-1) ** (len(cell) - 1) for cell in complex_.cells if keep(cell))
@@ -197,10 +214,9 @@ def sublevel_curve(complex_, g):
     The emptiness oracle for {g <= t} on a closed cell is "min vertex value
     <= t"; the curve only jumps at vertex values.
     """
-    mins = {cell: g.cell_min(cell) for cell in complex_.cells}
-    candidates = _cluster(g.vertex_values)[0]
+    reps, mins = _snapped({cell: g.cell_min(cell) for cell in complex_.cells})
     return _curve_from_levels(
-        candidates,
+        reps,
         lambda t: chi_region(complex_, lambda cell: mins[cell] <= t),
     )
 
@@ -217,9 +233,9 @@ def superlevel_jumps(complex_, g):
 
 def superlevel_cf1d(complex_, g):
     """chi of the superlevel set {g >= t} as an exact CF1D in t."""
-    maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
+    reps, maxs = _snapped({cell: g.cell_max(cell) for cell in complex_.cells})
     return CF1D.from_evaluator(
-        g.vertex_values,
+        reps,
         lambda t: chi_region(complex_, lambda cell: maxs[cell] >= t),
     )
 
@@ -228,12 +244,14 @@ def level_curve(complex_, g):
     """Exact CF1D t -> chi of the level set {g = t}.
 
     Slices of cells by level sets of an affine function are compact convex;
-    the emptiness oracle is min <= t <= max over the cell's vertices.
+    the emptiness oracle is min <= t <= max over the cell's vertices.  Every
+    vertex is a cell, so the minima and the maxima take the same values and
+    snap onto the same representatives.
     """
-    mins = {cell: g.cell_min(cell) for cell in complex_.cells}
-    maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
+    reps, mins = _snapped({cell: g.cell_min(cell) for cell in complex_.cells})
+    _, maxs = _snapped({cell: g.cell_max(cell) for cell in complex_.cells})
     return CF1D.from_evaluator(
-        g.vertex_values,
+        reps,
         lambda t: chi_region(
             complex_, lambda cell: mins[cell] <= t <= maxs[cell]
         ),
@@ -278,43 +296,39 @@ def distance_curves(complex_, v):
     """Sublevel curve and superlevel jumps of the distance function to v.
 
     Both transition only at the cell distances; closed balls intersect cells
-    convexly, and the open-ball complement has the closed-form chi_c.
+    convexly, and the open-ball complement has the closed-form chi_c, so the
+    superlevel jump at a representative s is the alternating count of the
+    cells at snapped distance s.
     """
-    dists = cell_distances(complex_, v)
-    candidates = _cluster(dists.values())[0]
+    reps, dists = _snapped(cell_distances(complex_, v))
     sub = _curve_from_levels(
-        candidates,
+        reps,
         lambda t: chi_region(complex_, lambda cell: dists[cell] <= t),
     )
-
-    def superlevel_at(s):
-        return _alternating_count(complex_, lambda cell: dists[cell] >= s)
-
-    sup = []
-    values = [superlevel_at(c) for c in candidates]
-    for i, c in enumerate(candidates):
-        after = values[i + 1] if i + 1 < len(candidates) else 0
-        if values[i] != after:
-            sup.append((c, values[i] - after))
-    return sub, tuple(sup)
+    sup = [
+        (s, _alternating_count(complex_, lambda cell: dists[cell] == s))
+        for s in reps
+    ]
+    return sub, tuple((s, n) for s, n in sup if n)
 
 
 def euler_bessel(complex_, v):
-    """Integral over t of the Euler characteristic of sphere(v, t) in Z.
+    """Integral over t > 0 of the Euler characteristic of sphere(v, t) in Z.
 
-    The integrand chi(closed-ball part) - chi_c(open-ball part) is constant
-    between consecutive cell distances, so the integral is an exact finite
-    sum; it vanishes beyond the largest cell distance.
+    With the snapped cell distances d_c, the integrand chi(closed-ball part)
+    - chi_c(open-ball part) is sum over cells c of w_c [d_c <= t] -
+    (-1)^dim c [d_c < t].  Its integral over (0, R), for R past the largest
+    distance, is sum_c (w_c - (-1)^dim c) (R - d_c); R cancels because both
+    sum_c w_c and sum_c (-1)^dim c equal chi(Z).  So the transform is
+
+        sum over cells c of ((-1)^dim c - w_c) * d_c.
     """
-    dists = cell_distances(complex_, v)
-    breakpoints = [0.0] + [c for c in _cluster(dists.values())[0] if c > 0]
-    total = 0.0
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        mid = (lo + hi) / 2
-        ball = chi_region(complex_, lambda cell: dists[cell] <= mid)
-        open_ball = _alternating_count(complex_, lambda cell: dists[cell] < mid)
-        total += (ball - open_ball) * (hi - lo)
-    return total
+    _, dists = _snapped(cell_distances(complex_, v))
+    weights = dict(complex_.weighted_cells)
+    return float(sum(
+        ((-1) ** (len(cell) - 1) - weights.get(cell, 0)) * d
+        for cell, d in dists.items()
+    ))
 
 
 def euler_bessel_index(complex_, v):
@@ -434,9 +448,9 @@ def full_subcomplex_curve(complex_, g):
     vertices with value <= t, so chi is the alternating count of cells whose
     largest vertex value is <= t.  Independent of chi_region's weights.
     """
-    maxs = {cell: g.cell_max(cell) for cell in complex_.cells}
+    reps, maxs = _snapped({cell: g.cell_max(cell) for cell in complex_.cells})
     return _curve_from_levels(
-        _cluster(g.vertex_values)[0],
+        reps,
         lambda t: sum(
             (-1) ** (len(cell) - 1)
             for cell in complex_.cells

@@ -117,8 +117,8 @@ class TestTransformCommand:
             "dimension": 2,
             "terms": [{"coef": 1, "type": "polytope", "points": [[0, 0], [1, 0], [0, 2]]}],
         }))
-        code = cli.main(["transform", "--input", str(scene), "--direction=-1000,0",
-                         "--radius", "1"])
+        code = exit_code(["transform", "--input", str(scene), "--direction=-1000,0",
+                          "--radius", "1"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -406,6 +406,54 @@ class TestFullSubcomplexCrossCheck:
             assert full_subcomplex_curve(z, g).equals(sublevel_curve(z, g))
 
 
+class TestSnapping:
+    """Values within EPS of each other count at their cluster's representative."""
+
+    def three_vertices(self):
+        z = EmbeddedComplex([[0.0], [1.0], [2.0]], [(0,), (1,), (2,)])
+        return z, PLFunction(z, [0.0, 5e-10, 3.0])
+
+    def test_sublevel_curves_count_whole_cluster(self):
+        z, g = self.three_vertices()
+        assert sublevel_curve(z, g).jumps == ((0.0, 2), (3.0, 1))
+        assert full_subcomplex_curve(z, g).jumps == ((0.0, 2), (3.0, 1))
+
+    def test_ect_counts_whole_cluster(self):
+        z = EmbeddedComplex([[0.0], [5e-10], [3.0]], [(0,), (1,), (2,)])
+        assert ect(z, [1.0]).jumps == ((0.0, 2), (3.0, 1))
+
+    def test_level_curve_point_value_counts_whole_cluster(self):
+        z, g = self.three_vertices()
+        assert level_curve(z, g).evaluate(0.0) == 2
+
+    @pytest.mark.parametrize("seed, case", [(1, 19), (2, 33), (8, 48)])
+    def test_bessel_paths_agree_on_merged_distances(self, seed, case):
+        # replays the draws of the bessel_dual verify suite up to the case
+        rng = np.random.default_rng(seed)
+        for _ in range(case + 1):
+            z = random_complex(rng, max_cells=30)
+            v = rng.uniform(-1.0, 3.0, size=2)
+        dists = sorted(set(cell_distances(z, v).values()))
+        assert any(b - a <= 1e-9 for a, b in zip(dists, dists[1:]))
+        assert euler_bessel(z, v) == pytest.approx(euler_bessel_index(z, v), abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        complexes_with_values(),
+        st.lists(st.floats(0.0, 1e-10), min_size=7, max_size=7),
+    )
+    def test_jitter_below_eps_leaves_curves_unchanged(self, drawn, jitter):
+        z, g = drawn
+        lattice = PLFunction(z, g.vertex_values * 0.25)
+        jittered = PLFunction(z, lattice.vertex_values + jitter[: len(z.vertices)])
+        assert sublevel_curve(z, jittered).equals(sublevel_curve(z, lattice))
+        assert full_subcomplex_curve(z, jittered).equals(
+            full_subcomplex_curve(z, lattice)
+        )
+        assert level_curve(z, jittered).equals(level_curve(z, lattice))
+        assert superlevel_cf1d(z, jittered).equals(superlevel_cf1d(z, lattice))
+
+
 class TestSuperlevelCf1d:
     def test_matches_negated_sublevel(self):
         rng = np.random.default_rng(33)
