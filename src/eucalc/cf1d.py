@@ -130,13 +130,19 @@ class CF1D:
         probed at each representative, at interval midpoints, and beyond the
         outer representatives b at b -/+ 1 or at the next float past b,
         whichever is farther: b -/+ 1 rounds onto b once |b| >= 2**53, and a
-        distance of |b| would overflow once |b| > 2**1023.
+        distance of |b| would overflow once |b| > 2**1023.  Midpoints are
+        a/2 + b/2, since a + b may overflow; ValueError is raised when no
+        float lies strictly between two representatives.
         """
         reps, _ = _cluster(candidate_breakpoints)
         if not reps:
             return cls((), (), (int(fn(0.0)),))
+        mids = [a / 2.0 + b / 2.0 for a, b in zip(reps, reps[1:])]
+        # an infinite midpoint is left to the constructor's finiteness check
+        if any(m in (a, b) and math.isfinite(m) for m, a, b in zip(mids, reps, reps[1:])):
+            raise ValueError("no float lies strictly between adjacent breakpoints")
         probes_iv = [min(reps[0] - 1.0, math.nextafter(reps[0], -math.inf))]
-        probes_iv += [(a + b) / 2.0 for a, b in zip(reps, reps[1:])]
+        probes_iv += mids
         probes_iv += [max(reps[-1] + 1.0, math.nextafter(reps[-1], math.inf))]
         return cls(reps, [fn(b) for b in reps], [fn(x) for x in probes_iv])
 

@@ -7,10 +7,18 @@ pushforwards and evaluation.  Everything reduces to the 1-D step algebra
 through linear pushforwards.  Transforms pair kernels with the generating
 points of the bounded generators directly (bounded_point_groups) and use
 the pushforward for ray boxes and as their oracle.
+
+Every box rule is a signed tensor product of per-axis 1-D rules: each axis
+offers a short list of (sign, interval) choices, and the box splits into one
+generator per combination, signed by the product of the chosen signs
+(_signed_product).  expand_box ([a,b) = [a,b] - {b}), box convolution
+([p,q) * [r,s)) and cone_closure ([a,b) * [0,inf) = [a,inf) - [b,inf)) are
+three such option lists.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 from scipy.optimize import linprog
@@ -134,6 +142,16 @@ def evaluate(phi, x):
     return total
 
 
+def _signed_product(axis_options):
+    """Tensor product of per-axis lists of (sign, choice).
+
+    Yields (sign, choices) for every combination in itertools.product order,
+    the sign being the product of the chosen per-axis signs.
+    """
+    for combo in product(*axis_options):
+        yield prod(s for s, _ in combo), [c for _, c in combo]
+
+
 def expand_box(box):
     """Inclusion-exclusion of a bounded half-open box into closed boxes.
 
@@ -143,17 +161,16 @@ def expand_box(box):
     """
     if not box.is_bounded:
         raise UnsupportedGenerator("cannot expand a box with infinite bounds")
-    d = box.dimension
-    out = []
-    for mask in product((0, 1), repeat=d):
-        sign = (-1) ** sum(mask)
-        axis_values = [
-            (box.high[i],) if mask[i] else (box.low[i], box.high[i])
-            for i in range(d)
-        ]
-        corners = np.array(list(product(*axis_values)))
-        out.append((sign, ClosedPolytope(Polytope(corners))))
-    return out
+    options = [[(1, (a, b)), (-1, (b,))] for a, b in zip(box.low, box.high)]
+    return [
+        (sign, ClosedPolytope(Polytope(np.array(list(product(*axes))))))
+        for sign, axes in _signed_product(options)
+    ]
+
+
+def _closed_parts(gen):
+    """A generator as signed closed polytopes: expand_box or the polytope."""
+    return expand_box(gen) if isinstance(gen, HalfOpenBox) else [(1, gen)]
 
 
 def bounded_point_groups(phi):
@@ -167,46 +184,40 @@ def bounded_point_groups(phi):
     """
     groups, coefs, rays = [], [], []
     for coef, gen in phi.terms:
-        if isinstance(gen, ClosedPolytope):
-            groups.append(gen.polytope.points)
-            coefs.append(coef)
-        elif gen.is_bounded:
-            for sign, closed in expand_box(gen):
-                groups.append(closed.polytope.points)
-                coefs.append(sign * coef)
-        else:
+        if isinstance(gen, HalfOpenBox) and not gen.is_bounded:
             rays.append((coef, gen))
+            continue
+        for sign, closed in _closed_parts(gen):
+            groups.append(closed.polytope.points)
+            coefs.append(sign * coef)
     starts = np.cumsum([0] + [len(g) for g in groups], dtype=np.intp)[:-1]
     points = np.concatenate(groups) if groups else np.empty((0, phi.dimension))
     return points, starts, np.array(coefs, dtype=np.int64), CFND(phi.dimension, tuple(rays))
 
 
 def _push_generator(gen, xi):
-    """Pushforward of a single generator along a linear form, as a CF1D."""
+    """Pushforward of a single generator along a linear form, as a CF1D.
+
+    A closed polytope maps onto its support interval (CF1D.segment turns one
+    shorter than EPS into a point); a bounded box sums that over expand_box.
+    A ray box is the convolution of its per-axis pushforwards, and vanishes
+    when the form is zero on some axis: each fiber is then a product with a
+    copy of that axis piece, whose compactly supported Euler characteristic
+    is 0.
+    """
     if isinstance(gen, ClosedPolytope):
-        lo, hi = support_interval(gen.polytope, xi)
-        if hi - lo <= EPS:
-            return CF1D.point(lo)
-        return CF1D.segment(lo, hi)
+        return CF1D.segment(*support_interval(gen.polytope, xi))
     if gen.is_bounded:
         out = CF1D.zero()
         for sign, closed in expand_box(gen):
-            lo, hi = support_interval(closed.polytope, xi)
-            piece = CF1D.point(lo) if hi - lo <= EPS else CF1D.segment(lo, hi)
-            out = out + piece.scale(sign)
+            out = out + _push_generator(closed, xi).scale(sign)
         return out
-    # unbounded box: push per axis and convolve the factors
+    if np.any(xi == 0.0):
+        return CF1D.zero()
     result = None
-    for i in range(gen.dimension):
-        if gen.high[i] == INF:
-            axis = CF1D.ray_up(gen.low[i])
-        else:
-            axis = CF1D.half_open(gen.low[i], gen.high[i])
-        if xi[i] == 0.0:
-            # zero form on this axis: the fibers are copies of the axis piece,
-            # whose compactly-supported Euler characteristic vanishes
-            return CF1D.zero()
-        factor = axis.pushforward_affine(xi[i])
+    for low, high, x in zip(gen.low, gen.high, xi):
+        axis = CF1D.ray_up(low) if high == INF else CF1D.half_open(low, high)
+        factor = axis.pushforward_affine(x)
         result = factor if result is None else result.convolve(factor)
     return result
 
@@ -268,23 +279,39 @@ def _convolve_box_box(a, b):
     -[max(p+s, q+r), q+s); the tensor product of the per-axis choices gives
     up to 2^d signed boxes.
     """
-    d = a.dimension
-    axis_options = []
-    for i in range(d):
-        p, q, r, s = a.low[i], a.high[i], b.low[i], b.high[i]
-        lo_mid = min(p + s, q + r)
-        hi_mid = max(p + s, q + r)
-        axis_options.append([(+1, p + r, lo_mid), (-1, hi_mid, q + s)])
-    out = []
-    for combo in product(*axis_options):
-        sign = 1
-        low, high = [], []
-        for s_i, lo, hi in combo:
-            sign *= s_i
-            low.append(lo)
-            high.append(hi)
-        out.append((sign, HalfOpenBox(np.array(low), np.array(high))))
-    return out
+    if not (a.is_bounded and b.is_bounded):
+        raise UnsupportedGenerator("convolution needs bounded boxes")
+    options = [
+        [(1, (p + r, min(p + s, q + r))), (-1, (max(p + s, q + r), q + s))]
+        for p, q, r, s in zip(a.low, a.high, b.low, b.high)
+    ]
+    return [
+        (sign, HalfOpenBox(*map(np.array, zip(*intervals))))
+        for sign, intervals in _signed_product(options)
+    ]
+
+
+def _pairwise(phi, psi, box_rule, polytope_rule):
+    """Terms of a bilinear operation on two CFNDs, pair of terms by pair.
+
+    Two boxes go through box_rule, which returns signed generators; any other
+    pair is expanded into closed polytopes (_closed_parts) and each pair of
+    polytopes goes through polytope_rule, which returns one polytope.
+    """
+    terms = []
+    for c1, g1 in phi.terms:
+        for c2, g2 in psi.terms:
+            if isinstance(g1, HalfOpenBox) and isinstance(g2, HalfOpenBox):
+                parts = box_rule(g1, g2)
+            else:
+                parts = [
+                    (sign, ClosedPolytope(polytope_rule(p1.polytope, p2.polytope)))
+                    for sign, (p1, p2) in _signed_product(
+                        [_closed_parts(g1), _closed_parts(g2)]
+                    )
+                ]
+            terms.extend((c1 * c2 * sign, gen) for sign, gen in parts)
+    return tuple(terms)
 
 
 def convolve_nd(phi, psi):
@@ -292,61 +319,24 @@ def convolve_nd(phi, psi):
     box pairs reduce to per-axis 1-D convolutions."""
     if phi.dimension != psi.dimension:
         raise DimensionMismatch("cannot convolve across dimensions")
-    terms = []
-    for c1, g1 in phi.terms:
-        for c2, g2 in psi.terms:
-            coef = c1 * c2
-            if isinstance(g1, HalfOpenBox) and isinstance(g2, HalfOpenBox):
-                if not (g1.is_bounded and g2.is_bounded):
-                    raise UnsupportedGenerator("convolution needs bounded boxes")
-                for sign, box in _convolve_box_box(g1, g2):
-                    terms.append((sign * coef, box))
-            else:
-                pairs1 = (
-                    expand_box(g1) if isinstance(g1, HalfOpenBox) else [(1, g1)]
-                )
-                pairs2 = (
-                    expand_box(g2) if isinstance(g2, HalfOpenBox) else [(1, g2)]
-                )
-                for s1, p1 in pairs1:
-                    for s2, p2 in pairs2:
-                        mink = minkowski_points(p1.polytope, p2.polytope)
-                        terms.append((coef * s1 * s2, ClosedPolytope(mink)))
-    return CFND(phi.dimension, tuple(terms))
+    terms = _pairwise(phi, psi, _convolve_box_box, minkowski_points)
+    return CFND(phi.dimension, terms)
 
 
 def box_product(phi, psi):
     """External product (phi box psi)(x, y) = phi(x) * psi(y)."""
-    d = phi.dimension + psi.dimension
-    terms = []
-    for c1, g1 in phi.terms:
-        for c2, g2 in psi.terms:
-            coef = c1 * c2
-            if isinstance(g1, HalfOpenBox) and isinstance(g2, HalfOpenBox):
-                terms.append(
-                    (
-                        coef,
-                        HalfOpenBox(
-                            np.concatenate([g1.low, g2.low]),
-                            np.concatenate([g1.high, g2.high]),
-                        ),
-                    )
-                )
-            else:
-                pairs1 = (
-                    expand_box(g1) if isinstance(g1, HalfOpenBox) else [(1, g1)]
-                )
-                pairs2 = (
-                    expand_box(g2) if isinstance(g2, HalfOpenBox) else [(1, g2)]
-                )
-                for s1, p1 in pairs1:
-                    for s2, p2 in pairs2:
-                        pts1, pts2 = p1.polytope.points, p2.polytope.points
-                        pts = np.array(
-                            [np.concatenate([u, v]) for u in pts1 for v in pts2]
-                        )
-                        terms.append((coef * s1 * s2, ClosedPolytope(Polytope(pts))))
-    return CFND(d, tuple(terms))
+
+    def boxes(a, b):
+        return [(1, HalfOpenBox(np.concatenate([a.low, b.low]),
+                                np.concatenate([a.high, b.high])))]
+
+    def polytopes(p, q):
+        return Polytope(
+            np.array([np.concatenate([u, v]) for u in p.points for v in q.points])
+        )
+
+    terms = _pairwise(phi, psi, boxes, polytopes)
+    return CFND(phi.dimension + psi.dimension, terms)
 
 
 def _axis_intervals(gen):
@@ -391,24 +381,13 @@ def cone_closure(phi, cone):
         )
     terms = []
     for coef, gen in phi.terms:
-        axis_options = []
-        for spec in _axis_intervals(gen):
-            if spec[0] == "halfopen":
-                axis_options.append([(+1, spec[1]), (-1, spec[2])])
-            else:  # closed interval or existing ray: single lower ray
-                axis_options.append([(+1, spec[1])])
-        for combo in product(*axis_options):
-            sign = 1
-            low = []
-            for s_i, lo in combo:
-                sign *= s_i
-                low.append(lo)
-            terms.append(
-                (
-                    coef * sign,
-                    HalfOpenBox(np.array(low), np.full(phi.dimension, INF)),
-                )
-            )
+        options = [
+            [(1, spec[1]), (-1, spec[2])] if spec[0] == "halfopen" else [(1, spec[1])]
+            for spec in _axis_intervals(gen)
+        ]
+        for sign, low in _signed_product(options):
+            ray = HalfOpenBox(np.array(low), np.full(phi.dimension, INF))
+            terms.append((coef * sign, ray))
     return CFND(phi.dimension, tuple(terms))
 
 

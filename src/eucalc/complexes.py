@@ -24,7 +24,7 @@ sum over cells c of ((-1)^dim c - w_c) * d_c in the snapped distances d_c.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -131,10 +131,9 @@ class StepCurve:
         return sum(m for _, m in self.jumps)
 
     def to_cf1d(self):
-        out = CF1D.zero()
-        for c, m in self.jumps:
-            out = out + CF1D.ray_up(c, m)
-        return out
+        locations = [c for c, _ in self.jumps]
+        levels = list(accumulate(m for _, m in self.jumps))
+        return CF1D(locations, levels, [0] + levels)
 
     def equals(self, other):
         return len(self.jumps) == len(other.jumps) and all(

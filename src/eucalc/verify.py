@@ -202,10 +202,22 @@ def lebesgue_fourier_voxels(phi, xi):
 
 # -- suites ------------------------------------------------------------------------
 
+SUITES = {}  # name -> suite, in definition order
 
-def suite_geometry(rng, cases):
-    result = SuiteResult("geometry", cases)
-    for i in range(cases):
+
+def _suite(fn):
+    """Register suite_<name> in SUITES under <name>.
+
+    A suite draws its inputs from rng and records its cases in the
+    SuiteResult that run_suites hands it.
+    """
+    SUITES[fn.__name__.removeprefix("suite_")] = fn
+    return fn
+
+
+@_suite
+def suite_geometry(rng, result):
+    for i in range(result.cases):
         pts = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2)) * 0.5
         p = Polytope(pts)
         q = Polytope(rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2)) * 0.5)
@@ -237,12 +249,11 @@ def suite_geometry(rng, cases):
             1e-12,
             f"case {i}: distance translation invariance",
         )
-    return result
 
 
-def suite_cf1d_roundtrip(rng, cases):
-    result = SuiteResult("cf1d_roundtrip", cases)
-    for i in range(cases):
+@_suite
+def suite_cf1d_roundtrip(rng, result):
+    for i in range(result.cases):
         phi = random_cf1d(rng, compact=bool(rng.integers(0, 2)))
         result.check_true(
             recompose(phi.decompose()).equals(phi), f"case {i}: decompose round trip"
@@ -256,12 +267,11 @@ def suite_cf1d_roundtrip(rng, cases):
                 0,
                 f"case {i}: dual Euler integral",
             )
-    return result
 
 
-def suite_convolution_1d(rng, cases):
-    result = SuiteResult("convolution_1d", cases)
-    for i in range(cases):
+@_suite
+def suite_convolution_1d(rng, result):
+    for i in range(result.cases):
         phi = random_cf1d(rng)
         psi = random_cf1d(rng)
         theta = random_cf1d(rng)
@@ -286,12 +296,11 @@ def suite_convolution_1d(rng, cases):
             0,
             f"case {i}: multiplicative Euler integral",
         )
-    return result
 
 
-def suite_duality_pairing(rng, cases):
-    result = SuiteResult("duality_pairing", cases)
-    for i in range(cases):
+@_suite
+def suite_duality_pairing(rng, result):
+    for i in range(result.cases):
         phi = random_cf1d(rng)
         for kernel in (kernels.laplace(), kernels.fourier(), kernels.heaviside()):
             result.check(
@@ -302,12 +311,11 @@ def suite_duality_pairing(rng, cases):
                 1e-12,
                 f"case {i}: duality sign under {kernel.name}",
             )
-    return result
 
 
-def suite_projection_window(rng, cases):
-    result = SuiteResult("projection_window", cases)
-    for i in range(cases):
+@_suite
+def suite_projection_window(rng, result):
+    for i in range(result.cases):
         phi = random_cf1d(rng)
         bounds = np.sort(rng.choice(np.arange(-14, 15), size=2, replace=False) * 0.25 + 0.125)
         a, b = float(bounds[0]), float(bounds[1])
@@ -321,12 +329,11 @@ def suite_projection_window(rng, cases):
                 1e-12,
                 f"case {i}: window vs restriction under {kernel.name}",
             )
-    return result
 
 
-def suite_translation_phase(rng, cases):
-    result = SuiteResult("translation_phase", cases)
-    for i in range(cases):
+@_suite
+def suite_translation_phase(rng, result):
+    for i in range(result.cases):
         phi = random_mixed_cfnd(rng)
         xi = random_direction(rng, 2)
         x0 = rng.integers(-3, 4, size=2) * 0.5
@@ -337,12 +344,11 @@ def suite_translation_phase(rng, cases):
         lhs = transforms.euler_fourier(translate(phi, x0), xi)
         rhs = np.exp(-1j * shift) * transforms.euler_fourier(phi, xi)
         result.check(abs(lhs - rhs), 1e-10, f"case {i}: Fourier translation")
-    return result
 
 
-def suite_direct_image(rng, cases):
-    result = SuiteResult("direct_image", cases)
-    for i in range(cases):
+@_suite
+def suite_direct_image(rng, result):
+    for i in range(result.cases):
         phi = random_cf1d(rng)
         # image of phi under the injective map x -> (x, 2x)
         terms = []
@@ -363,12 +369,11 @@ def suite_direct_image(rng, cases):
             lhs = transforms.hybrid_transform(image, zeta, kernel)
             rhs = phi.pushforward_affine(pulled).lebesgue_pair(kernel)
             result.check(abs(lhs - rhs), 1e-12, f"case {i}: direct image ({kernel.name})")
-    return result
 
 
-def suite_fubini(rng, cases):
-    result = SuiteResult("fubini", cases)
-    for i in range(cases):
+@_suite
+def suite_fubini(rng, result):
+    for i in range(result.cases):
         phi = random_mixed_cfnd(rng)
         xi = rng.integers(-4, 5, size=2) * 0.5  # zero components allowed
         pushed = pushforward_linear(phi, xi)
@@ -377,13 +382,12 @@ def suite_fubini(rng, cases):
             0,
             f"case {i}: Fubini along {xi}",
         )
-    return result
 
 
-def suite_el_convolution(rng, cases):
-    result = SuiteResult("el_convolution", cases)
+@_suite
+def suite_el_convolution(rng, result):
     cone = OrthantCone.nonpositive(2)
-    for i in range(cases):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
@@ -394,13 +398,12 @@ def suite_el_convolution(rng, cases):
         el_psi_c = el(cone_closure(psi, cone), xi)
         rhs = el_phi_c * el_psi + el_phi * el_psi_c - el_phi * el_psi
         result.check(abs(lhs - rhs), 1e-10, f"case {i}: three-term identity")
-    return result
 
 
-def suite_el_cone_product(rng, cases):
-    result = SuiteResult("el_cone_product", cases)
+@_suite
+def suite_el_cone_product(rng, result):
     cone = OrthantCone.nonpositive(2)
-    for i in range(cases):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         result.check_true(
@@ -422,12 +425,11 @@ def suite_el_cone_product(rng, cases):
             eta_psi, x2
         )
         result.check(abs(lhs - rhs), 1e-10, f"case {i}: box-product identity")
-    return result
 
 
-def suite_ef_convolution(rng, cases):
-    result = SuiteResult("ef_convolution", cases)
-    for i in range(cases):
+@_suite
+def suite_ef_convolution(rng, result):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         conv = convolve_nd(phi, psi)
@@ -451,37 +453,34 @@ def suite_ef_convolution(rng, cases):
                 0,
                 f"case {i}: vanishing branch ({name})",
             )
-    return result
 
 
-def suite_voxel_laplace(rng, cases):
-    result = SuiteResult("voxel_laplace", cases)
-    for i in range(cases):
+@_suite
+def suite_voxel_laplace(rng, result):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
         lhs = transforms.euler_laplace(phi, xi)
         rhs = lebesgue_laplace_voxels(phi, xi) * float(np.prod(xi))
         scale = max(abs(lhs), abs(rhs), 1e-6)
         result.check(abs(lhs - rhs) / scale, 1e-10, f"case {i}: Laplace relation")
-    return result
 
 
-def suite_voxel_fourier(rng, cases):
-    result = SuiteResult("voxel_fourier", cases)
-    for i in range(cases):
+@_suite
+def suite_voxel_fourier(rng, result):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
         lhs = transforms.euler_fourier(phi, xi)
         rhs = (1j ** (2 - 1)) * lebesgue_fourier_voxels(phi, xi) * float(np.prod(xi))
         scale = max(abs(lhs), abs(rhs), 1e-6)
         result.check(abs(lhs - rhs) / scale, 1e-10, f"case {i}: Fourier relation")
-    return result
 
 
-def suite_pushforward_structure(rng, cases):
-    result = SuiteResult("pushforward_structure", cases)
+@_suite
+def suite_pushforward_structure(rng, result):
     cone = OrthantCone.nonpositive(2)
-    for i in range(cases):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi_pos = random_direction(rng, 2, positive=True)
         result.check_true(
@@ -513,12 +512,11 @@ def suite_pushforward_structure(rng, cases):
         lhs = pushforward_linear(prod, np.concatenate([eta1, eta2]))
         rhs = pushforward_linear(phi, eta1).convolve(pushforward_linear(psi, eta2))
         result.check_true(lhs.equals(rhs), f"case {i}: box-product exchange")
-    return result
 
 
-def suite_regularity_regions(rng, cases):
-    result = SuiteResult("regularity_regions", cases)
-    for i in range(cases):
+@_suite
+def suite_regularity_regions(rng, result):
+    for i in range(result.cases):
         pts = rng.uniform(-2, 2, size=(int(rng.integers(3, 6)), 2))
         poly = CFND.from_polytope_points(pts)
         xi0 = rng.uniform(-2, 2, size=2)
@@ -536,12 +534,11 @@ def suite_regularity_regions(rng, cases):
             lhs = transforms.euler_laplace(poly, xi)
             rhs = math.exp(-float(xi @ v_min)) - math.exp(-float(xi @ v_max))
             result.check(abs(lhs - rhs), 1e-12, f"case {i}: argmax-region closed form")
-    return result
 
 
-def suite_kernels(rng, cases):
-    result = SuiteResult("kernels", cases)
-    for i in range(cases):
+@_suite
+def suite_kernels(rng, result):
+    for i in range(result.cases):
         kernel = (kernels.laplace(), kernels.heaviside(), kernels.ecb(1.0))[i % 3]
         a, b, c = np.sort(rng.uniform(-5, 5, size=3))
         lhs = kernel.integrate(a, b) + kernel.integrate(b, c)
@@ -555,12 +552,11 @@ def suite_kernels(rng, cases):
                     float(xs[0])
                 )
                 result.check_true(diff > 0, f"case {i}: increasing tag")
-    return result
 
 
-def suite_sublevel_complex(rng, cases):
-    result = SuiteResult("sublevel_complex", cases)
-    for i in range(cases):
+@_suite
+def suite_sublevel_complex(rng, result):
+    for i in range(result.cases):
         complex_ = random_complex(rng)
         g = random_pl_values(rng, complex_)
         result.check_true(
@@ -577,12 +573,11 @@ def suite_sublevel_complex(rng, cases):
             0,
             f"case {i}: curve saturates at chi(Z)",
         )
-    return result
 
 
-def suite_index_sublevel(rng, cases):
-    result = SuiteResult("index_sublevel", cases)
-    for i in range(cases):
+@_suite
+def suite_index_sublevel(rng, result):
+    for i in range(result.cases):
         complex_ = random_complex(rng)
         xi = random_direction(rng, 2)
         a, b = np.sort(rng.uniform(-2.0, 4.0, size=2))
@@ -595,12 +590,11 @@ def suite_index_sublevel(rng, cases):
                     1e-9,
                     f"case {i}: sublevel index ({base.name}, window {window})",
                 )
-    return result
 
 
-def suite_index_level(rng, cases):
-    result = SuiteResult("index_level", cases)
-    for i in range(cases):
+@_suite
+def suite_index_level(rng, result):
+    for i in range(result.cases):
         complex_ = random_complex(rng)
         xi = random_direction(rng, 2)
         a, b = np.sort(rng.uniform(-2.0, 4.0, size=2))
@@ -613,34 +607,31 @@ def suite_index_level(rng, cases):
                     1e-9,
                     f"case {i}: level index ({base.name}, window {window})",
                 )
-    return result
 
 
-def suite_index_gr(rng, cases):
-    result = SuiteResult("index_gr", cases)
-    for i in range(cases):
+@_suite
+def suite_index_gr(rng, result):
+    for i in range(result.cases):
         complex_ = random_complex(rng)
         xi = random_direction(rng, 2)
         report = gr_index_check(complex_, None, xi)
         result.check(report.difference, 1e-9, f"case {i}: half-line index")
-    return result
 
 
-def suite_bessel_dual(rng, cases):
-    result = SuiteResult("bessel_dual", cases)
-    for i in range(cases):
+@_suite
+def suite_bessel_dual(rng, result):
+    for i in range(result.cases):
         complex_ = random_complex(rng, max_cells=30)
         v = rng.uniform(-1.0, 3.0, size=2)
         direct = euler_bessel(complex_, v)
         index = euler_bessel_index(complex_, v)
         result.check(abs(direct - index), 1e-9, f"case {i}: dual-path agreement")
-    return result
 
 
-def suite_radon(rng, cases):
-    result = SuiteResult("radon", cases)
+@_suite
+def suite_radon(rng, result):
     cone = OrthantCone.nonpositive(2)
-    for i in range(cases):
+    for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         result.check_true(
             chi_vanishing_check(phi, cone), f"case {i}: Euler integral vanishes"
@@ -664,7 +655,6 @@ def suite_radon(rng, cases):
         0,
         "mixed-direction recovery is exact zero",
     )
-    return result
 
 
 def _random_kernel(rng):
@@ -726,7 +716,8 @@ def _pairing_tolerance(phi, xi, kernel):
     return 1e-12 * (1.0 + rounding) + 1e-9 * merge
 
 
-def suite_transform_oracle(rng, cases):
+@_suite
+def suite_transform_oracle(rng, result):
     """The vectorised transform engine against the pushforward route.
 
     Scenes cycle through polytope, voxel, gamma and cone-closure sums; each
@@ -737,9 +728,8 @@ def suite_transform_oracle(rng, cases):
     forms must give the same missing cells, or raise the error of the first
     form that raises one.
     """
-    result = SuiteResult("transform_oracle", cases)
     builders = (random_polytope_cfnd, random_voxel_cfnd, random_gamma_cfnd, random_ray_cfnd)
-    for i in range(cases):
+    for i in range(result.cases):
         phi = builders[i % 4](rng)
         kernel = _random_kernel(rng)
         positive = i % 4 == 3  # rays are proper on the positive quadrant only
@@ -780,34 +770,6 @@ def suite_transform_oracle(rng, cases):
             else:
                 tol = _pairing_tolerance(phi, xi, kernel)
                 result.check(abs(got - expected) / tol, 1.0, f"case {i}: grid cell at {xi}")
-    return result
-
-
-SUITES = {
-    "geometry": suite_geometry,
-    "cf1d_roundtrip": suite_cf1d_roundtrip,
-    "convolution_1d": suite_convolution_1d,
-    "duality_pairing": suite_duality_pairing,
-    "projection_window": suite_projection_window,
-    "translation_phase": suite_translation_phase,
-    "direct_image": suite_direct_image,
-    "fubini": suite_fubini,
-    "el_convolution": suite_el_convolution,
-    "el_cone_product": suite_el_cone_product,
-    "ef_convolution": suite_ef_convolution,
-    "voxel_laplace": suite_voxel_laplace,
-    "voxel_fourier": suite_voxel_fourier,
-    "pushforward_structure": suite_pushforward_structure,
-    "regularity_regions": suite_regularity_regions,
-    "kernels": suite_kernels,
-    "sublevel_complex": suite_sublevel_complex,
-    "index_sublevel": suite_index_sublevel,
-    "index_level": suite_index_level,
-    "index_gr": suite_index_gr,
-    "bessel_dual": suite_bessel_dual,
-    "radon": suite_radon,
-    "transform_oracle": suite_transform_oracle,
-}
 
 
 def run_suites(names=None, seed=42, cases=50):
@@ -818,6 +780,7 @@ def run_suites(names=None, seed=42, cases=50):
         raise ValueError(f"unknown suites: {unknown}")
     results = []
     for name in selected:
-        rng = np.random.default_rng(seed)
-        results.append(SUITES[name](rng, cases))
+        result = SuiteResult(name, cases)
+        SUITES[name](np.random.default_rng(seed), result)
+        results.append(result)
     return results

@@ -39,11 +39,20 @@ class TestCanonicalForm:
 
 
 class TestLargeAndNonFinite:
-    @pytest.mark.parametrize("a, b", [(0.0, 1e17), (-1e17, 0.0), (-3e20, 5e20)])
+    # (1e308, 1.7e308): the midpoint must not overflow to inf
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 1e17), (-1e17, 0.0), (-3e20, 5e20), (1e308, 1.7e308),
+    ])
     def test_huge_segment_survives_addition(self, a, b):
         total = CF1D.zero() + CF1D.segment(a, b)
         assert total.equals(CF1D.segment(a, b))
         assert total.euler_integral() == 1
+
+    def test_adjacent_float_breakpoints_rejected(self):
+        # no float lies inside (b, nextafter(b)), so the interval value is unknowable
+        b = 1e8
+        with pytest.raises(ValueError, match="strictly between"):
+            CF1D.zero() + CF1D.open_interval(b, math.nextafter(b, math.inf))
 
     @pytest.mark.parametrize("b", [-1e308, -3e20, 3e20, 1e308])
     def test_ray_at_huge_breakpoint_survives_restrict(self, b):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eucalc import kernels, transforms
 from eucalc.cf1d import CF1D
 from eucalc.cfnd import (
     CFND,
@@ -223,6 +224,17 @@ class TestConeClosure:
         assert pushforward_linear(rays, [-1.0, -2.0]).equals(CF1D.ray_down(0.0))
         with pytest.raises(ImproperConvolution):
             pushforward_linear(rays, [1.0, -1.0])
+
+    @pytest.mark.parametrize("xi", [
+        [1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0],
+    ])
+    def test_zero_axis_kills_ray_box_in_any_axis_order(self, xi):
+        # a zero form component makes each fiber a product with the axis ray,
+        # whose compactly supported Euler characteristic is 0; the opposite
+        # signs on the other two axes must not be convolved first
+        octant = CFND.from_box([0.0, 0.0, 0.0], [np.inf] * 3)
+        assert pushforward_linear(octant, xi).is_zero()
+        assert transforms.hybrid_transform(octant, np.array(xi), kernels.laplace()) == 0.0
 
 
 class TestWitnessGrid:

@@ -477,6 +477,12 @@ class TestStepCurve:
     def test_zero_jumps_dropped(self):
         assert StepCurve([(0.0, 0), (1.0, 2)]).jumps == ((1.0, 2),)
 
+    def test_cf1d_at_adjacent_floats(self):
+        b = math.nextafter(1e8, math.inf)
+        n = math.nextafter(b, math.inf)
+        cf = StepCurve([(b, 1), (n, -1)]).to_cf1d()
+        assert cf.equals(CF1D((b, n), (1, 0), (0, 1, 0)))
+
 
 class TestMeshJson:
     def test_round_trip(self):
