@@ -10,10 +10,21 @@ up to the comparison tolerance).
 
 All ring operations, Euler integration, convolution, duality, affine
 pushforwards and Lebesgue pairing against kernels are exact on this class.
+
+One rule makes results canonical, CF1D.from_evaluator: candidate breakpoints
+merge into clusters [r, r + EPS] (_cluster), and a sided rule is read at each
+representative r -- on the cluster, on the gap just right of it, and once
+left of the first -- so nothing is evaluated between breakpoints.  Sums and
+products read their operands with CF1D._at, which needs every breakpoint of
+the operand to lie in some representative's cluster.  Generators are signed
+closed spans [lo, hi] of the extended line (IntervalGenerator); recompose
+counts the spans holding each reading (_inside), and convolution adds end
+points.
 """
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,27 +135,24 @@ class CF1D:
 
     @classmethod
     def from_evaluator(cls, candidate_breakpoints, fn):
-        """Canonical function from candidate breakpoints and a pointwise rule.
+        """Canonical function from candidate breakpoints and a sided rule.
 
-        Candidates are merged within EPS (leftmost representative wins); fn is
-        probed at each representative, at interval midpoints, and beyond the
-        outer representatives b at b -/+ 1 or at the next float past b,
-        whichever is farther: b -/+ 1 rounds onto b once |b| >= 2**53, and a
-        distance of |b| would overflow once |b| > 2**1023.  Midpoints are
-        a/2 + b/2, since a + b may overflow; ValueError is raised when no
-        float lies strictly between two representatives.
+        Candidates are merged into clusters [r, r + EPS] by _cluster, each
+        represented by its leftmost value r.  fn(r, side) gives the value on
+        r's cluster (side 0) and on the open gap just right of it (side +1);
+        fn(reps[0], -1) gives the value left of the first cluster.  The rule
+        must be constant on each gap, and these 2k + 1 readings are the whole
+        function: nothing is evaluated between breakpoints.  With no
+        candidates the function is the constant fn(0.0, 0).
         """
         reps, _ = _cluster(candidate_breakpoints)
         if not reps:
-            return cls((), (), (int(fn(0.0)),))
-        mids = [a / 2.0 + b / 2.0 for a, b in zip(reps, reps[1:])]
-        # an infinite midpoint is left to the constructor's finiteness check
-        if any(m in (a, b) and math.isfinite(m) for m, a, b in zip(mids, reps, reps[1:])):
-            raise ValueError("no float lies strictly between adjacent breakpoints")
-        probes_iv = [min(reps[0] - 1.0, math.nextafter(reps[0], -math.inf))]
-        probes_iv += mids
-        probes_iv += [max(reps[-1] + 1.0, math.nextafter(reps[-1], math.inf))]
-        return cls(reps, [fn(b) for b in reps], [fn(x) for x in probes_iv])
+            return cls((), (), (fn(0.0, 0),))
+        return cls(
+            reps,
+            [fn(r, 0) for r in reps],
+            [fn(reps[0], -1)] + [fn(r, 1) for r in reps],
+        )
 
     # -- basic queries --------------------------------------------------------
 
@@ -160,6 +168,21 @@ class CF1D:
 
     def __call__(self, x):
         return self.evaluate(x)
+
+    def _at(self, r, side):
+        """The sided reading fn(r, side) of from_evaluator for this function.
+
+        Precondition: r is a representative of clusters that hold every
+        breakpoint of this function, so breakpoint b lies in r's cluster iff
+        r <= b <= r + EPS (at most one does, as breakpoints are > EPS apart).
+        """
+        b = self.breakpoints
+        i = bisect_left(b, r)
+        if i < len(b) and b[i] - r <= EPS:
+            if side == 0:
+                return self.point_values[i]
+            return self.interval_values[i + (side > 0)]
+        return self.interval_values[i]
 
     def is_zero(self):
         return not self.breakpoints and self.interval_values[0] == 0
@@ -208,7 +231,7 @@ class CF1D:
     def add(self, other):
         return CF1D.from_evaluator(
             self.breakpoints + other.breakpoints,
-            lambda x: self.evaluate(x) + other.evaluate(x),
+            lambda r, side: self._at(r, side) + other._at(r, side),
         )
 
     def __add__(self, other):
@@ -231,16 +254,18 @@ class CF1D:
         """Pointwise product with another CF1D."""
         return CF1D.from_evaluator(
             self.breakpoints + other.breakpoints,
-            lambda x: self.evaluate(x) * other.evaluate(x),
+            lambda r, side: self._at(r, side) * other._at(r, side),
         )
 
     def restrict(self, a, b):
         """Pointwise product with the indicator of the open interval (a, b)."""
-        extra = [x for x in (a, b) if x not in (float("-inf"), float("inf"))]
-        return CF1D.from_evaluator(
-            self.breakpoints + tuple(extra),
-            lambda x: self.evaluate(x) if a < x < b else 0,
-        )
+        if math.isfinite(a) and math.isfinite(b):
+            window = CF1D.open_interval(a, b)
+        else:  # 1 beyond an infinite end, the constant 1 when both are
+            ends = [x for x in (a, b) if math.isfinite(x)]
+            outer = [int(a == -math.inf), int(b == math.inf)]
+            window = CF1D(ends, [0] * len(ends), outer[: len(ends) + 1])
+        return self * window
 
     # -- Euler integration ----------------------------------------------------
 
@@ -257,48 +282,25 @@ class CF1D:
     # -- generator decomposition ----------------------------------------------
 
     def decompose(self):
-        """Exact integer combination of segment/point/ray generators.
+        """Exact integer combination of closed spans (see IntervalGenerator).
 
-        Re-summing the generators reproduces the function (see recompose).
+        Each piece of the line contributes its value times its closure: a
+        breakpoint b the span [b, b], an open interval (lo, hi) the span
+        [lo, hi] minus its finite end points.  Re-summing the generators
+        reproduces the function (see recompose).
         """
-        acc = {}
-
-        def put(kind, a, b, coef):
-            if coef:
-                key = (kind, a, b)
-                acc[key] = acc.get(key, 0) + coef
-                if acc[key] == 0:
-                    del acc[key]
-
-        if not self.breakpoints:
-            c = self.interval_values[0]
-            if c:
-                # constant c on the whole line: down-ray + up-ray - point
-                put("ray_down", 0.0, None, c)
-                put("ray_up", 0.0, None, c)
-                put("point", 0.0, None, -c)
-        else:
-            b = self.breakpoints
-            v = self.interval_values
-            if v[0]:
-                put("ray_down", b[0], None, v[0])
-                put("point", b[0], None, -v[0])
-            if v[-1]:
-                put("ray_up", b[-1], None, v[-1])
-                put("point", b[-1], None, -v[-1])
-            for left, right, val in zip(b, b[1:], v[1:-1]):
-                if val:
-                    put("segment", left, right, val)
-                    put("point", left, None, -val)
-                    put("point", right, None, -val)
-            for p, val in zip(b, self.point_values):
-                put("point", p, None, val)
-        return [
-            IntervalGenerator(kind, a, b, coef)
-            for (kind, a, b), coef in sorted(
-                acc.items(), key=lambda item: (item[0][0], item[0][1])
-            )
-        ]
+        ends = (-math.inf, *self.breakpoints, math.inf)
+        pieces = [*zip(ends, ends[1:], self.interval_values)]
+        pieces += [(b, b, v) for b, v in zip(self.breakpoints, self.point_values)]
+        acc = Counter()
+        for lo, hi, v in pieces:
+            acc[lo, hi] += v
+            if lo < hi:
+                for x in (lo, hi):
+                    if math.isfinite(x):
+                        acc[x, x] -= v
+        gens = [IntervalGenerator(lo, hi, c) for (lo, hi), c in acc.items() if c]
+        return sorted(gens, key=lambda g: (g.kind, g.lo))
 
     # -- convolution ----------------------------------------------------------
 
@@ -306,7 +308,9 @@ class CF1D:
         """Convolution with respect to the Euler characteristic.
 
         Requires addition to be proper on the supports: both bounded below,
-        both bounded above, or one side compact.
+        both bounded above, or one side compact.  Then no two opposite rays
+        meet, and the convolution of two spans is the span of the sums of
+        their end points.
         """
         ok = (
             (self.support_bounded_below() and other.support_bounded_below())
@@ -318,16 +322,13 @@ class CF1D:
             raise ImproperConvolution(
                 "supports must be bounded on a common side or one compact"
             )
-        gens = {}
+        gens = Counter()
         for g in self.decompose():
             for h in other.decompose():
-                kind, a, b, coef = _convolve_generators(g, h)
-                if coef:
-                    key = (kind, a, b)
-                    gens[key] = gens.get(key, 0) + coef
+                key = (_end(g.lo + h.lo, g.lo, h.lo), _end(g.hi + h.hi, g.hi, h.hi))
+                gens[key] += g.coefficient * h.coefficient
         return recompose(
-            IntervalGenerator(kind, a, b, coef)
-            for (kind, a, b), coef in gens.items()
+            IntervalGenerator(lo, hi, coef) for (lo, hi), coef in gens.items()
         )
 
     # -- duality ---------------------------------------------------------------
@@ -355,9 +356,13 @@ class CF1D:
             raise DegenerateMap("affine pushforward needs alpha != 0")
         new_b = [alpha * b + beta for b in self.breakpoints]
         if any(y - x <= EPS for x, y in zip(sorted(new_b), sorted(new_b)[1:])):
-            # map squeezed breakpoints together: re-evaluate on the merged grid
-            return CF1D.from_evaluator(
-                new_b, lambda t: self.evaluate((t - beta) / alpha)
+            # breakpoints squeezed together: map the spans and re-sum them
+            return recompose(
+                IntervalGenerator(
+                    *sorted(_end(alpha * x + beta, x) for x in (g.lo, g.hi)),
+                    g.coefficient,
+                )
+                for g in self.decompose()
             )
         if alpha > 0:
             return CF1D(new_b, self.point_values, self.interval_values)
@@ -416,71 +421,53 @@ class CF1D:
 
 @dataclass(frozen=True)
 class IntervalGenerator:
-    """Signed generator: closed segment [a, b], point {a}, or ray from a."""
+    """Signed closed span [lo, hi] of the extended line.
 
-    kind: str  # "segment" | "point" | "ray_up" | "ray_down"
-    a: float
-    b: float = None
+    A point has lo == hi, a ray one infinite end, the whole line both.
+    """
+
+    lo: float
+    hi: float
     coefficient: int = 1
+
+    @property
+    def kind(self):
+        """"point", "segment", "ray_up", "ray_down" or "line"."""
+        if self.lo == self.hi:
+            return "point"
+        if math.isinf(self.lo):
+            return "line" if math.isinf(self.hi) else "ray_down"
+        return "ray_up" if math.isinf(self.hi) else "segment"
+
+
+def _end(value, *operands):
+    """An end point computed from operands: infinite only if one of them is."""
+    if math.isinf(value) and all(math.isfinite(x) for x in operands):
+        raise ValueError("breakpoints must be finite, but an end point overflows")
+    return value
+
+
+def _inside(lo, hi, r, side):
+    """Whether the reading (r, side) of from_evaluator lies in [lo, hi].
+
+    The ends must be representatives of the reading's clusters or infinite:
+    side 0 reads r's cluster, +1 the gap right of it, -1 the gap left of it.
+    """
+    return lo <= r <= hi and (side <= 0 or r < hi) and (side >= 0 or lo < r)
 
 
 def recompose(generators):
-    """Sum a family of interval generators back into a canonical CF1D."""
+    """Sum a family of signed closed spans into a canonical CF1D.
+
+    Finite end points snap to their cluster's representative; each reading
+    counts the spans that hold it.
+    """
     gens = list(generators)
-    endpoints = []
-    for g in gens:
-        endpoints.append(g.a)
-        if g.kind == "segment":
-            endpoints.append(g.b)
-    if not endpoints:
-        return CF1D.zero()
-    _, snap = _cluster(endpoints)
-
-    snapped = []
-    for g in gens:
-        a = snap[g.a]
-        b = snap[g.b] if g.kind == "segment" else None
-        if g.kind == "segment" and a == b:
-            snapped.append(("point", a, None, g.coefficient))
-        else:
-            snapped.append((g.kind, a, b, g.coefficient))
-
-    def value_at(x):
-        total = 0
-        for kind, a, b, coef in snapped:
-            if kind == "segment":
-                inside = a <= x <= b
-            elif kind == "point":
-                inside = x == a
-            elif kind == "ray_up":
-                inside = x >= a
-            else:
-                inside = x <= a
-            if inside:
-                total += coef
-        return total
-
-    return CF1D.from_evaluator(set(snap.values()), value_at)
-
-
-def _convolve_generators(g, h):
-    """Convolution of two interval generators; returns (kind, a, b, coef)."""
-    coef = g.coefficient * h.coefficient
-    if h.kind == "point" or (h.kind == "segment" and g.kind != "point"):
-        g, h = h, g
-    ka, kb = g.kind, h.kind
-    if ka == "point":
-        if kb == "point":
-            return ("point", g.a + h.a, None, coef)
-        if kb == "segment":
-            return ("segment", g.a + h.a, g.a + h.b, coef)
-        return (kb, g.a + h.a, None, coef)
-    if ka == "segment":
-        if kb == "segment":
-            return ("segment", g.a + h.a, g.b + h.b, coef)
-        if kb == "ray_up":
-            return ("ray_up", g.a + h.a, None, coef)
-        return ("ray_down", g.b + h.a, None, coef)
-    if ka == kb:  # rays in the same direction
-        return (ka, g.a + h.a, None, coef)
-    raise ImproperConvolution("opposite rays cannot be convolved")
+    reps, snap = _cluster(
+        x for g in gens for x in (g.lo, g.hi) if math.isfinite(x)
+    )
+    spans = [(snap.get(g.lo, g.lo), snap.get(g.hi, g.hi), g.coefficient) for g in gens]
+    return CF1D.from_evaluator(
+        reps,
+        lambda r, side: sum(c for lo, hi, c in spans if _inside(lo, hi, r, side)),
+    )

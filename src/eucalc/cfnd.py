@@ -405,7 +405,7 @@ def _witness_axis_values(*functions):
     for vals in axes:
         vals = sorted(vals) if vals else [0.0]
         probes = list(vals)
-        probes += [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+        probes += [a / 2 + b / 2 for a, b in zip(vals, vals[1:])]  # a + b may overflow
         probes += [vals[0] - 1.0, vals[-1] + 1.0]
         out.append(sorted(set(probes)))
     return out

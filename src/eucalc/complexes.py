@@ -23,12 +23,13 @@ Euler-Bessel transform needs no sweep at all: it is the closed form
 sum over cells c of ((-1)^dim c - w_c) * d_c in the snapped distances d_c.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
 import numpy as np
 
-from .cf1d import CF1D, EPS, _cluster
+from .cf1d import CF1D, EPS, _cluster, _inside
 from .errors import MonotonicityUnknown
 from .geometry import dist_to_simplex
 
@@ -235,7 +236,9 @@ def superlevel_cf1d(complex_, g):
     reps, maxs = _snapped({cell: g.cell_max(cell) for cell in complex_.cells})
     return CF1D.from_evaluator(
         reps,
-        lambda t: chi_region(complex_, lambda cell: maxs[cell] >= t),
+        lambda r, side: chi_region(
+            complex_, lambda cell: _inside(-math.inf, maxs[cell], r, side)
+        ),
     )
 
 
@@ -243,7 +246,8 @@ def level_curve(complex_, g):
     """Exact CF1D t -> chi of the level set {g = t}.
 
     Slices of cells by level sets of an affine function are compact convex;
-    the emptiness oracle is min <= t <= max over the cell's vertices.  Every
+    the emptiness oracle is t in the closed span [min, max] of the cell's
+    vertex values, read at from_evaluator's sides by cf1d._inside.  Every
     vertex is a cell, so the minima and the maxima take the same values and
     snap onto the same representatives.
     """
@@ -251,8 +255,8 @@ def level_curve(complex_, g):
     _, maxs = _snapped({cell: g.cell_max(cell) for cell in complex_.cells})
     return CF1D.from_evaluator(
         reps,
-        lambda t: chi_region(
-            complex_, lambda cell: mins[cell] <= t <= maxs[cell]
+        lambda r, side: chi_region(
+            complex_, lambda cell: _inside(mins[cell], maxs[cell], r, side)
         ),
     )
 

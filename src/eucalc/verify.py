@@ -353,12 +353,10 @@ def suite_direct_image(rng, result):
         # image of phi under the injective map x -> (x, 2x)
         terms = []
         for gen in phi.decompose():
-            if gen.kind == "segment":
-                pts = np.array([[gen.a, 2 * gen.a], [gen.b, 2 * gen.b]])
-            elif gen.kind == "point":
-                pts = np.array([[gen.a, 2 * gen.a]])
-            else:  # rays never occur for compact inputs
+            if gen.kind not in ("point", "segment"):  # compact inputs have no rays
                 raise AssertionError("compact input expected")
+            ends = (gen.lo,) if gen.kind == "point" else (gen.lo, gen.hi)
+            pts = np.array([[x, 2 * x] for x in ends])
             terms.append((gen.coefficient, ClosedPolytope(Polytope(pts))))
         image = CFND(2, tuple(terms))
         zeta = random_direction(rng, 2)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eucalc.cf1d import CF1D, recompose
+from eucalc.cf1d import CF1D, EPS, recompose
 from eucalc.errors import DegenerateMap, ImproperConvolution, NonCompactSupport, NonIntegrable
 from eucalc import kernels
 from eucalc.verify import random_cf1d
@@ -48,11 +49,14 @@ class TestLargeAndNonFinite:
         assert total.equals(CF1D.segment(a, b))
         assert total.euler_integral() == 1
 
-    def test_adjacent_float_breakpoints_rejected(self):
-        # no float lies inside (b, nextafter(b)), so the interval value is unknowable
+    def test_adjacent_float_breakpoints_survive_addition(self):
+        # no float lies inside (b, nextafter(b)); the sum never evaluates there
         b = 1e8
-        with pytest.raises(ValueError, match="strictly between"):
-            CF1D.zero() + CF1D.open_interval(b, math.nextafter(b, math.inf))
+        c = math.nextafter(b, math.inf)
+        assert (CF1D.zero() + CF1D.segment(b, c)).equals(CF1D.segment(b, c))
+        total = CF1D.zero() + CF1D.open_interval(b, c)
+        assert total.equals(CF1D.open_interval(b, c))
+        assert total.euler_integral() == -1
 
     @pytest.mark.parametrize("b", [-1e308, -3e20, 3e20, 1e308])
     def test_ray_at_huge_breakpoint_survives_restrict(self, b):
@@ -65,7 +69,7 @@ class TestLargeAndNonFinite:
         lambda: CF1D.point(math.nan),
         lambda: CF1D.ray_up(-math.inf),
         lambda: CF1D((0.0, math.inf), (1, 1), (0, 1, 0)),
-        lambda: CF1D.from_evaluator([0.0, math.nan], lambda x: 0),
+        lambda: CF1D.from_evaluator([0.0, math.nan], lambda r, side: 0),
     ])
     def test_non_finite_breakpoint_rejected(self, make):
         with pytest.raises(ValueError, match="finite"):
@@ -74,6 +78,79 @@ class TestLargeAndNonFinite:
     def test_nan_between_finite_breakpoints_rejected(self):
         with pytest.raises(ValueError):
             CF1D((0.0, math.nan, 2.0), (1, 1, 1), (0, 1, 1, 0))
+
+
+class TestClusters:
+    def test_open_interval_shorter_than_two_eps(self):
+        # a midpoint probe lands within EPS of both ends and reads a point value
+        total = CF1D.zero() + CF1D.open_interval(0.0, 1.5e-9)
+        assert total.equals(CF1D.open_interval(0.0, 1.5e-9))
+        assert total.euler_integral() == -1
+
+    def test_chained_cluster_keeps_every_point(self):
+        # 0.9e-9 joins the cluster of 0; 1.1e-9 starts its own
+        two_points = CF1D((0.0, 1.1e-9), (1, 1), (0, 0, 0))
+        total = CF1D.point(0.9e-9) + two_points
+        assert total.euler_integral() == 3
+        assert total.interval_values == (0, 0, 0)
+
+    @pytest.mark.parametrize("f, g", [
+        (CF1D.segment(1, 1e308), CF1D.point(1e308)),
+        (CF1D.ray_up(1e308), CF1D.point(1e308)),
+    ])
+    def test_overflowing_end_point_rejected(self, f, g):
+        with pytest.raises(ValueError, match="finite"):
+            f.convolve(g)
+
+
+# breakpoints at magnitudes 1e-12 to 1e16 of either sign, > EPS apart
+MAGNITUDES = st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(1e-12, 1e16))
+
+
+@st.composite
+def cf1ds(draw, compact=False, near=()):
+    """Random CF1D; with near, some breakpoints lie within 2 EPS of those."""
+    values = [sign * m for sign, m in draw(st.lists(MAGNITUDES, max_size=6))]
+    if near:
+        jitter = st.tuples(st.sampled_from(near), st.floats(-2 * EPS, 2 * EPS))
+        values += [b + d for b, d in draw(st.lists(jitter, max_size=4))]
+    breaks = []
+    for x in sorted(values):
+        if not breaks or x - breaks[-1] > EPS:
+            breaks.append(x)
+    small = st.integers(-3, 3)
+    point_values = draw(st.lists(small, min_size=len(breaks), max_size=len(breaks)))
+    interval_values = draw(
+        st.lists(small, min_size=len(breaks) + 1, max_size=len(breaks) + 1)
+    )
+    if compact:
+        interval_values[0] = interval_values[-1] = 0
+    return CF1D(breaks, point_values, interval_values)
+
+
+class TestProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cf1ds())
+    def test_zero_is_additive_unit(self, f):
+        assert (f + CF1D.zero()).equals(f)
+        assert (CF1D.zero() + f).equals(f)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_subtraction_undoes_addition(self, data):
+        f = data.draw(cf1ds())
+        g = data.draw(cf1ds(near=f.breakpoints))
+        assert ((f + g) - g).equals(f)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cf1ds())
+    def test_recompose_inverts_decompose(self, f):
+        assert recompose(f.decompose()).equals(f)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cf1ds(compact=True))
+    def test_point_is_convolution_unit(self, f):
+        assert CF1D.point(0).convolve(f).equals(f)
 
 
 class TestEulerIntegral:

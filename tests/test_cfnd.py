@@ -199,6 +199,11 @@ class TestConeClosure:
     def test_zero_function(self):
         assert is_cone_constructible(CFND(2, ()), DOWN2)
 
+    def test_huge_box_midpoints_do_not_overflow(self):
+        # (1e308 + 1.7e308) / 2 overflows to inf; the witness grid must not
+        huge = CFND.from_box([1e308, 0.0], [1.7e308, 1.0])
+        assert is_cone_constructible(huge, DOWN2)
+
     def test_matches_1d_convolution_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
