@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 input parse error,
 import argparse
 import csv
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -56,7 +57,7 @@ def _load_json(path, loader, kind):
 def _parse_kernel(text):
     try:
         return kernels.parse(text)
-    except ValueError as exc:
+    except (ValueError, EucalcError) as exc:
         _fail(exc)
 
 
@@ -73,7 +74,9 @@ def _output(path):
 def _directions(args, dim):
     if args.direction:
         return np.array([_parse_point(d, dim, "--direction") for d in args.direction])
-    if args.directions:
+    if args.directions is not None:
+        if args.directions < 1:
+            _fail("--directions needs a positive count")
         if dim != 2:
             _fail("--directions circle needs dimension 2")
         return transforms.direction_circle(args.directions)
@@ -169,6 +172,8 @@ def cmd_radon_recover(args):
         _fail("only --gamma neg (nonpositive orthant) is supported")
     cone = OrthantCone.nonpositive(scene.dimension)
     xi = _parse_point(args.xi, scene.dimension, "--xi")
+    if not math.isfinite(args.t):
+        _fail("--t must be finite")
     try:
         params = RecoveryParams(A=args.A, ds=args.ds, delta=args.delta)
         recovered = recover_pushforward(scene, cone, xi, args.t, params)
@@ -184,6 +189,8 @@ def cmd_radon_recover(args):
 
 def cmd_verify(args):
     names = args.suite or None
+    if args.cases < 1:
+        _fail("--cases needs a positive count")
     try:
         results = run_suites(names=names, seed=args.seed, cases=args.cases)
     except ValueError as exc:
@@ -193,7 +200,7 @@ def cmd_verify(args):
         status = "PASS" if result.passed else "FAIL"
         print(
             f"{result.name:24s} {status}  cases={result.cases}"
-            f"  max_deviation={result.max_deviation:.3e}"
+            f"  max_gap={result.max_gap:.3e}"
         )
         for failure in result.failures:
             failed = True

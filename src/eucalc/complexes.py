@@ -348,14 +348,23 @@ def euler_bessel_index(complex_, v):
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Two independently computed sides of an index identity."""
+    """Two independently computed sides of an index identity, and size: the
+    summed magnitude of the terms the two sides add."""
 
     lhs: float
     rhs: float
+    size: float
 
     @property
     def difference(self):
         return abs(self.lhs - self.rhs)
+
+
+def _paired(f, kernel):
+    """f.lebesgue_pair(kernel) and the sum of |v K(end)| over f's pieces."""
+    value = f.lebesgue_pair(kernel)  # raises before an undefined K(+-inf) is read
+    ends = [(v, x) for lo, hi, v in f.pieces() if v for x in (lo, hi)]
+    return value, sum(abs(v * kernel.antideriv_at(x)) for v, x in ends)
 
 
 def _require_monotone(kernel):
@@ -377,18 +386,14 @@ def index_formula_check(complex_, filtration, xi, kernel):
     _require_monotone(kernel)
     g = compose_direction(complex_, filtration, xi)
     curve = sublevel_curve(complex_, g)
-    lhs = curve.to_cf1d().lebesgue_pair(kernel)
+    lhs, size = _paired(curve.to_cf1d(), kernel)
 
     a, b = kernel.window
-    k_b = kernel.antideriv_at(b)
-    term_b = k_b * sum(m for c, m in curve.jumps if c <= b)
-    term_a = 0.0
+    terms = [kernel.antideriv_at(b) * sum(m for c, m in curve.jumps if c <= b)]
     if a != float("-inf"):
-        term_a = kernel.antideriv_at(a) * sum(m for c, m in curve.jumps if c <= a)
-    jump_sum = sum(
-        m * kernel.antideriv_at(c) for c, m in curve.jumps if a < c <= b
-    )
-    return IndexReport(lhs=lhs, rhs=term_b - term_a - jump_sum)
+        terms.append(-kernel.antideriv_at(a) * sum(m for c, m in curve.jumps if c <= a))
+    terms += [-m * kernel.antideriv_at(c) for c, m in curve.jumps if a < c <= b]
+    return IndexReport(lhs, sum(terms), size + sum(map(abs, terms)))
 
 
 def level_index_check(complex_, filtration, xi, kernel):
@@ -401,7 +406,7 @@ def level_index_check(complex_, filtration, xi, kernel):
     """
     _require_monotone(kernel)
     g = compose_direction(complex_, filtration, xi)
-    lhs = level_curve(complex_, g).lebesgue_pair(kernel)
+    lhs, size = _paired(level_curve(complex_, g), kernel)
 
     a, b = kernel.window
     sub = sublevel_curve(complex_, g).jumps
@@ -414,13 +419,13 @@ def level_index_check(complex_, filtration, xi, kernel):
             complex_, lambda cell: mins[cell] <= t <= maxs[cell]
         )
 
-    lower = sum(n * kernel.antideriv_at(s) for s, n in sup if a <= s < b)
+    lower = [n * kernel.antideriv_at(s) for s, n in sup if a <= s < b]
     if b != float("inf"):
-        lower += kernel.antideriv_at(b) * chi_slice(b)
-    upper = sum(m * kernel.antideriv_at(c) for c, m in sub if a < c <= b)
+        lower.append(kernel.antideriv_at(b) * chi_slice(b))
+    upper = [m * kernel.antideriv_at(c) for c, m in sub if a < c <= b]
     if a != float("-inf"):
-        upper += kernel.antideriv_at(a) * chi_slice(a)
-    return IndexReport(lhs=lhs, rhs=lower - upper)
+        upper.append(kernel.antideriv_at(a) * chi_slice(a))
+    return IndexReport(lhs, sum(lower) - sum(upper), size + sum(map(abs, lower + upper)))
 
 
 def gr_index_check(complex_, filtration, xi):
@@ -433,9 +438,9 @@ def gr_index_check(complex_, filtration, xi):
     from .kernels import heaviside
 
     g = compose_direction(complex_, filtration, xi)
-    lhs = superlevel_cf1d(complex_, g).lebesgue_pair(heaviside())
-    rhs = sum(n * max(s, 0.0) for s, n in superlevel_jumps(complex_, g))
-    return IndexReport(lhs=lhs, rhs=rhs)
+    lhs, size = _paired(superlevel_cf1d(complex_, g), heaviside())
+    terms = [n * max(s, 0.0) for s, n in superlevel_jumps(complex_, g)]
+    return IndexReport(lhs, sum(terms), size + sum(map(abs, terms)))
 
 
 def sublevel_from_level_check(complex_, g):

@@ -128,6 +128,8 @@ def ecb(a):
     function must vanish near -inf.
     """
     a = float(a)
+    if not a > -INF:  # NaN fails too
+        raise EmptyWindow(f"ecb bound must be above -inf, got {a!r}")
     return Kernel(
         name=f"ecb:{a}",
         field="real",

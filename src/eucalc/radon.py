@@ -6,6 +6,7 @@ integral with one-sided evaluation; outside the two polar cones the
 pushforward vanishes identically, which is checked exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,20 +25,8 @@ class RecoveryParams:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.ds < self.A and self.delta > 0):
-            raise ValueError("need 0 < ds < A and delta > 0")
-
-
-def _interval_pieces(cf):
-    """Bounded interval pieces (lo, hi, value) of a compact CF1D."""
-    b = cf.breakpoints
-    if not b:
-        return []
-    return [
-        (lo, hi, v)
-        for lo, hi, v in zip(b, b[1:], cf.interval_values[1:-1])
-        if v
-    ]
+        if not (0 < self.ds < self.A < math.inf and 0 < self.delta < math.inf):
+            raise ValueError("need 0 < ds < A and delta > 0, all finite")
 
 
 def recover_pushforward(phi, cone, xi, t, params=RecoveryParams()):
@@ -65,7 +54,7 @@ def recover_pushforward(phi, cone, xi, t, params=RecoveryParams()):
 
     t_probe = t + params.delta if in_up else t - params.delta
     pushed = pushforward_linear(phi, xi)
-    pieces = _interval_pieces(pushed)
+    pieces = [(lo, hi, v) for lo, hi, v in pushed.pieces()[1:-1] if v]  # bounded
     if not pieces:
         return 0.0
 

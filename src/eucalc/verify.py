@@ -2,17 +2,25 @@
 
 Each suite draws seeded random inputs, evaluates one compatibility or
 index-theoretic identity along two independent routes and records the worst
-deviation.  The suites are shared by the test suite and the ``verify``
-command-line entry point.
+gap between them.  The suites are shared by the test suite and the
+``verify`` command-line entry point.
+
+One rule covers every approximate check (SuiteResult.close): the routes may
+differ by 2^-46 * (1 + size), 64 ulps of size, the summed magnitude of the
+terms behind the two values.  That is the forward error bound
+(n - 1) * u * sum |x| of floating-point summation (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, sec. 4.2) for up to 129 terms.
+Integer identities are checked exactly (check_true).
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, transforms
-from .cf1d import CF1D, recompose
+from .cf1d import CF1D, EPS, recompose
 from .cfnd import (
     CFND,
     ClosedPolytope,
@@ -29,6 +37,7 @@ from .cfnd import (
 from .complexes import (
     EmbeddedComplex,
     PLFunction,
+    cell_distances,
     euler_bessel,
     euler_bessel_index,
     euler_characteristic,
@@ -46,20 +55,28 @@ from .radon import chi_vanishing_check, radon_support_check, recover_pushforward
 
 @dataclass
 class SuiteResult:
+    """Failures of one suite and its worst gap as a fraction of the tolerance."""
+
     name: str
     cases: int
-    max_deviation: float = 0.0
+    max_gap: float = 0.0
     failures: list = field(default_factory=list)
 
     @property
     def passed(self):
         return not self.failures
 
-    def check(self, deviation, tolerance, label):
-        deviation = float(deviation)
-        self.max_deviation = max(self.max_deviation, deviation)
-        if not deviation <= tolerance:
-            self.failures.append(f"{label}: deviation {deviation:.3e} > {tolerance:.1e}")
+    def close(self, got, want, size, label, merge=0.0):
+        """Check |got - want| <= 2^-46 * (1 + size) + EPS * merge.
+
+        merge is the kernel size at the end points that the CF1D route
+        merges within EPS; only identities against that route pass it.
+        """
+        tolerance = 2.0**-46 * (1.0 + size) + EPS * merge
+        gap = abs(got - want) / tolerance
+        self.max_gap = max(self.max_gap, gap)
+        if not gap <= 1.0:
+            self.failures.append(f"{label}: |{got!r} - {want!r}| > {tolerance:.3e}")
 
     def check_true(self, condition, label):
         if not condition:
@@ -72,16 +89,11 @@ class SuiteResult:
 def random_cf1d(rng, compact=True, max_breaks=4):
     """Random canonical step function with well-separated lattice breakpoints."""
     k = int(rng.integers(0, max_breaks + 1))
-    breaks = rng.choice(np.arange(-12, 13), size=k, replace=False) * 0.25
-    breaks = np.sort(breaks)
+    breaks = np.sort(rng.choice(np.arange(-12, 13), size=k, replace=False) * 0.25)
     point_values = rng.integers(-3, 4, size=k)
     interval_values = rng.integers(-3, 4, size=k + 1)
     if compact or k == 0:
-        if k == 0:
-            interval_values = [0]
-        else:
-            interval_values[0] = 0
-            interval_values[-1] = 0
+        interval_values[0] = interval_values[-1] = 0
     return CF1D(breaks, point_values, interval_values)
 
 
@@ -141,9 +153,7 @@ def random_direction(rng, dim, positive=False, lattice=4):
     """Random direction with lattice components; never the zero form."""
     while True:
         xi = rng.integers(1 if positive else -lattice, lattice + 1, size=dim) * 0.5
-        if positive:
-            return xi.astype(float)
-        if np.any(xi):
+        if positive or np.any(xi):
             return xi.astype(float)
 
 
@@ -155,11 +165,9 @@ def random_complex(rng, max_cells=50, n_vertices=None):
         cells = []
         indices = list(range(n))
         for _ in range(int(rng.integers(1, 5))):
-            tri = tuple(sorted(rng.choice(indices, size=3, replace=False)))
-            cells.append(tri)
+            cells.append(tuple(sorted(rng.choice(indices, size=3, replace=False))))
         for _ in range(int(rng.integers(0, 4))):
-            edge = tuple(sorted(rng.choice(indices, size=2, replace=False)))
-            cells.append(edge)
+            cells.append(tuple(sorted(rng.choice(indices, size=2, replace=False))))
         cells.append((int(rng.integers(0, n)),))
         try:
             complex_ = EmbeddedComplex(vertices, tuple(cells))
@@ -170,34 +178,72 @@ def random_complex(rng, max_cells=50, n_vertices=None):
 
 
 def random_pl_values(rng, complex_):
-    return PLFunction(
-        complex_, rng.integers(0, 13, size=len(complex_.vertices)) * 0.25
-    )
+    return PLFunction(complex_, rng.integers(0, 13, size=len(complex_.vertices)) * 0.25)
 
 
-# -- closed-form Lebesgue oracles -------------------------------------------------
+# -- closed-form oracles and term sizes -------------------------------------------
 
 
-def lebesgue_laplace_voxels(phi, xi):
-    """Classical Laplace transform of a half-open-box sum (closed form)."""
-    total = 0.0
+def lebesgue_voxels(phi, z):
+    """Classical transform of a half-open-box sum at z, in closed form.
+
+    The integral of phi(x) exp(-<z, x>) dx: the Laplace transform for real
+    z, the Fourier transform for z = i * xi.  Returns the value and the
+    summed magnitude of its terms.
+    """
+    total, size = 0.0, 0.0
     for coef, gen in phi.terms:
-        prod = 1.0
-        for a, b, x in zip(gen.low, gen.high, xi):
-            prod *= (math.exp(-x * a) - math.exp(-x * b)) / x
-        total += coef * prod
-    return total
+        at_low, at_high = np.exp(-z * gen.low), np.exp(-z * gen.high)
+        total += coef * np.prod((at_low - at_high) / z)
+        size += abs(coef) * np.prod((np.abs(at_low) + np.abs(at_high)) / np.abs(z))
+    return (complex(total) if np.iscomplexobj(z) else float(total)), float(size)
 
 
-def lebesgue_fourier_voxels(phi, xi):
-    """Classical Fourier transform of a half-open-box sum (closed form)."""
-    total = 0j
-    for coef, gen in phi.terms:
-        prod = 1.0 + 0j
-        for a, b, x in zip(gen.low, gen.high, xi):
-            prod *= (np.exp(-1j * x * a) - np.exp(-1j * x * b)) / (1j * x)
-        total += coef * prod
-    return total
+def _size(kernel, ends, weights):
+    """Sum of w * (|K| + (|K| + 1) * (1 + |end|)) over the ends, clipped to
+    the window: K's rounding, plus an end's, which moves K by at most
+    |kappa| <= |K| + 1 per unit for every kernel of the library.  An
+    infinite end adds the exact constant K(+-inf), so it is skipped."""
+    ends = np.clip(ends, *kernel.window)
+    keep = (weights > 0) & np.isfinite(ends)
+    ends, weights = ends[keep], weights[keep]
+    with np.errstate(all="ignore"):  # near the float range it is inf
+        k = np.abs(kernel.antideriv(ends))
+        return float(np.sum(weights * (k + (k + 1.0) * (1.0 + np.abs(ends)))))
+
+
+def _generator_ends(phi, xi):
+    """End points of phi's generators along xi, weighted by |coefficient|
+    (0 for points, which pair to zero)."""
+    points, starts, coefs, rays = bounded_point_groups(phi)
+    proj = points @ xi
+    lo, hi = np.minimum.reduceat(proj, starts), np.maximum.reduceat(proj, starts)
+    weight = np.where(lo == hi, 0, np.abs(coefs))
+    ends = [lo, hi, [box.low @ xi for _, box in rays.terms]]
+    weights = [weight, weight, [abs(c) for c, _ in rays.terms]]
+    return np.concatenate(ends).astype(float), np.concatenate(weights).astype(float)
+
+
+def _pairing_size(phi, xi, kernel):
+    """Size of the transform of a scene at one form."""
+    return _size(kernel, *_generator_ends(phi, xi))
+
+
+def _cf1d_size(f, kernel):
+    """Size of f.lebesgue_pair(kernel): _size over the ends of f's pieces."""
+    lo, hi, values = np.array(f.pieces()).T
+    return _size(kernel, np.concatenate([lo, hi]), np.abs(np.concatenate([values, values])))
+
+
+def _merge_size(kernel, ends, weights):
+    """Sum of w * (|K| + 1) over the ends within EPS of another end or a
+    window end, where the CF1D route merges end points."""
+    marks = np.unique(np.concatenate([ends, [w for w in kernel.window if math.isfinite(w)]]))
+    close = marks[1:] - marks[:-1] <= EPS
+    near = np.isin(ends, np.concatenate([marks[:-1][close], marks[1:][close]])) & (weights > 0)
+    with np.errstate(all="ignore"):
+        k = np.abs(kernel.antideriv(np.clip(ends[near], *kernel.window)))
+        return float(np.sum(weights[near] * (k + 1.0)))
 
 
 # -- suites ------------------------------------------------------------------------
@@ -223,32 +269,22 @@ def suite_geometry(rng, result):
         q = Polytope(rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2)) * 0.5)
         xi = random_direction(rng, 2)
         width = support_value(p, xi) + support_value(p, -xi)
-        result.check_true(width >= -1e-12, f"case {i}: negative width {width}")
-        mink = minkowski_points(p, q)
-        result.check(
-            abs(
-                support_value(mink, xi)
-                - support_value(p, xi)
-                - support_value(q, xi)
-            ),
-            1e-12,
-            f"case {i}: Minkowski support additivity",
-        )
+        result.check_true(width >= 0, f"case {i}: negative width {width}")
+        s = [support_value(f, xi) for f in (minkowski_points(p, q), p, q)]
+        result.close(s[0], s[1] + s[2], sum(map(abs, s)), f"case {i}: Minkowski support")
         simplex = rng.uniform(-2, 2, size=(3, 2))
         if np.linalg.matrix_rank(simplex[1:] - simplex[0]) < 2:
             continue
         v = rng.uniform(-3, 3, size=2)
         d = dist_to_simplex(v, simplex)
         vertex_best = min(np.linalg.norm(v - s) for s in simplex)
-        result.check_true(
-            d <= vertex_best + 1e-12, f"case {i}: distance above vertex distance"
-        )
+        # a distance adds coordinate differences: its size is sum |coordinate|
+        size = np.abs(simplex).sum() + np.abs(v).sum()
+        result.close(d, min(d, vertex_best), size, f"case {i}: above vertex distance")
         shift = rng.uniform(-5, 5, size=2)
-        result.check(
-            abs(d - dist_to_simplex(v + shift, simplex + shift)),
-            1e-12,
-            f"case {i}: distance translation invariance",
-        )
+        moved = dist_to_simplex(v + shift, simplex + shift)
+        size += np.abs(simplex + shift).sum() + np.abs(v + shift).sum()
+        result.close(d, moved, size, f"case {i}: distance translation invariance")
 
 
 @_suite
@@ -258,13 +294,10 @@ def suite_cf1d_roundtrip(rng, result):
         result.check_true(
             recompose(phi.decompose()).equals(phi), f"case {i}: decompose round trip"
         )
-        result.check_true(
-            phi.dualize().dualize().equals(phi), f"case {i}: duality involution"
-        )
+        result.check_true(phi.dualize().dualize().equals(phi), f"case {i}: duality involution")
         if phi.is_compactly_supported():
-            result.check(
-                abs(phi.dualize().euler_integral() - phi.euler_integral()),
-                0,
+            result.check_true(
+                phi.dualize().euler_integral() == phi.euler_integral(),
                 f"case {i}: dual Euler integral",
             )
 
@@ -275,25 +308,15 @@ def suite_convolution_1d(rng, result):
         phi = random_cf1d(rng)
         psi = random_cf1d(rng)
         theta = random_cf1d(rng)
+        conv = phi.convolve(psi)
+        result.check_true(conv.equals(psi.convolve(phi)), f"case {i}: commutativity")
         result.check_true(
-            phi.convolve(psi).equals(psi.convolve(phi)),
-            f"case {i}: commutativity",
-        )
-        result.check_true(
-            phi.convolve(psi).convolve(theta).equals(
-                phi.convolve(psi.convolve(theta))
-            ),
+            conv.convolve(theta).equals(phi.convolve(psi.convolve(theta))),
             f"case {i}: associativity",
         )
+        result.check_true(CF1D.point(0.0).convolve(phi).equals(phi), f"case {i}: unit")
         result.check_true(
-            CF1D.point(0.0).convolve(phi).equals(phi), f"case {i}: unit"
-        )
-        result.check(
-            abs(
-                phi.convolve(psi).euler_integral()
-                - phi.euler_integral() * psi.euler_integral()
-            ),
-            0,
+            conv.euler_integral() == phi.euler_integral() * psi.euler_integral(),
             f"case {i}: multiplicative Euler integral",
         )
 
@@ -302,13 +325,11 @@ def suite_convolution_1d(rng, result):
 def suite_duality_pairing(rng, result):
     for i in range(result.cases):
         phi = random_cf1d(rng)
+        dual = phi.dualize()
         for kernel in (kernels.laplace(), kernels.fourier(), kernels.heaviside()):
-            result.check(
-                abs(
-                    phi.dualize().lebesgue_pair(kernel)
-                    + phi.lebesgue_pair(kernel)
-                ),
-                1e-12,
+            result.close(
+                dual.lebesgue_pair(kernel), -phi.lebesgue_pair(kernel),
+                _cf1d_size(dual, kernel) + _cf1d_size(phi, kernel),
                 f"case {i}: duality sign under {kernel.name}",
             )
 
@@ -319,14 +340,12 @@ def suite_projection_window(rng, result):
         phi = random_cf1d(rng)
         bounds = np.sort(rng.choice(np.arange(-14, 15), size=2, replace=False) * 0.25 + 0.125)
         a, b = float(bounds[0]), float(bounds[1])
+        restricted = phi.restrict(a, b)
         for kernel in (kernels.laplace(), kernels.fourier()):
             windowed = kernels.compose_window(kernel, a, b)
-            result.check(
-                abs(
-                    phi.lebesgue_pair(windowed)
-                    - phi.restrict(a, b).lebesgue_pair(kernel)
-                ),
-                1e-12,
+            result.close(
+                phi.lebesgue_pair(windowed), restricted.lebesgue_pair(kernel),
+                _cf1d_size(phi, windowed) + _cf1d_size(restricted, kernel),
                 f"case {i}: window vs restriction under {kernel.name}",
             )
 
@@ -337,13 +356,17 @@ def suite_translation_phase(rng, result):
         phi = random_mixed_cfnd(rng)
         xi = random_direction(rng, 2)
         x0 = rng.integers(-3, 4, size=2) * 0.5
-        shift = float(xi @ x0)
-        lhs = transforms.euler_laplace(translate(phi, x0), xi)
-        rhs = math.exp(-shift) * transforms.euler_laplace(phi, xi)
-        result.check(abs(lhs - rhs), 1e-10, f"case {i}: Laplace translation")
-        lhs = transforms.euler_fourier(translate(phi, x0), xi)
-        rhs = np.exp(-1j * shift) * transforms.euler_fourier(phi, xi)
-        result.check(abs(lhs - rhs), 1e-10, f"case {i}: Fourier translation")
+        moved, shift = translate(phi, x0), float(xi @ x0)
+        for kernel, phase in (
+            (kernels.laplace(), math.exp(-shift)),
+            (kernels.fourier(), cmath.exp(-1j * shift)),
+        ):
+            result.close(
+                transforms.hybrid_transform(moved, xi, kernel),
+                phase * transforms.hybrid_transform(phi, xi, kernel),
+                _pairing_size(moved, xi, kernel) + abs(phase) * _pairing_size(phi, xi, kernel),
+                f"case {i}: {kernel.name} translation",
+            )
 
 
 @_suite
@@ -363,10 +386,14 @@ def suite_direct_image(rng, result):
         pulled = float(zeta[0] + 2 * zeta[1])  # transpose map applied to zeta
         if pulled == 0.0:
             continue
+        pushed = phi.pushforward_affine(pulled)
         for kernel in (kernels.laplace(), kernels.fourier()):
-            lhs = transforms.hybrid_transform(image, zeta, kernel)
-            rhs = phi.pushforward_affine(pulled).lebesgue_pair(kernel)
-            result.check(abs(lhs - rhs), 1e-12, f"case {i}: direct image ({kernel.name})")
+            result.close(
+                transforms.hybrid_transform(image, zeta, kernel),
+                pushed.lebesgue_pair(kernel),
+                _pairing_size(image, zeta, kernel) + _cf1d_size(pushed, kernel),
+                f"case {i}: direct image ({kernel.name})",
+            )
 
 
 @_suite
@@ -374,12 +401,15 @@ def suite_fubini(rng, result):
     for i in range(result.cases):
         phi = random_mixed_cfnd(rng)
         xi = rng.integers(-4, 5, size=2) * 0.5  # zero components allowed
-        pushed = pushforward_linear(phi, xi)
-        result.check(
-            abs(pushed.euler_integral() - euler_integral_nd(phi)),
-            0,
+        result.check_true(
+            pushforward_linear(phi, xi).euler_integral() == euler_integral_nd(phi),
             f"case {i}: Fubini along {xi}",
         )
+
+
+def _transform(f, xi, kernel):
+    """The transform of f at xi and its size."""
+    return transforms.hybrid_transform(f, xi, kernel), _pairing_size(f, xi, kernel)
 
 
 @_suite
@@ -389,40 +419,38 @@ def suite_el_convolution(rng, result):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
-        el = transforms.euler_laplace
-        lhs = el(convolve_nd(phi, psi), xi)
-        el_phi, el_psi = el(phi, xi), el(psi, xi)
-        el_phi_c = el(cone_closure(phi, cone), xi)
-        el_psi_c = el(cone_closure(psi, cone), xi)
-        rhs = el_phi_c * el_psi + el_phi * el_psi_c - el_phi * el_psi
-        result.check(abs(lhs - rhs), 1e-10, f"case {i}: three-term identity")
+        closures = (cone_closure(phi, cone), cone_closure(psi, cone))
+        (lhs, s), (f, sf), (g, sg), (fc, sfc), (gc, sgc) = (
+            _transform(h, xi, kernels.laplace())
+            for h in (convolve_nd(phi, psi), phi, psi, *closures)
+        )
+        result.close(
+            lhs, fc * g + f * gc - f * g, s + sfc * sg + sf * sgc + sf * sg,
+            f"case {i}: three-term identity",
+        )
 
 
 @_suite
 def suite_el_cone_product(rng, result):
     cone = OrthantCone.nonpositive(2)
+    laplace = kernels.laplace()
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
-        result.check_true(
-            is_cone_constructible(phi, cone), f"case {i}: voxel sum constructible"
-        )
+        result.check_true(is_cone_constructible(phi, cone), f"case {i}: voxel sum constructible")
         xi = random_direction(rng, 2, positive=True)
-        lhs = transforms.euler_laplace(convolve_nd(phi, psi), xi)
-        rhs = transforms.euler_laplace(phi, xi) * transforms.euler_laplace(psi, xi)
-        result.check(abs(lhs - rhs), 1e-10, f"case {i}: product identity")
+        (lhs, s), (f, sf), (g, sg) = (
+            _transform(h, xi, laplace) for h in (convolve_nd(phi, psi), phi, psi)
+        )
+        result.close(lhs, f * g, s + sf * sg, f"case {i}: product identity")
         # box product against separate directions
         eta_phi = random_voxel_cfnd(rng, dim=1)
         eta_psi = random_voxel_cfnd(rng, dim=1)
         x1 = random_direction(rng, 1, positive=True)
         x2 = random_direction(rng, 1, positive=True)
-        lhs = transforms.euler_laplace(
-            box_product(eta_phi, eta_psi), np.concatenate([x1, x2])
-        )
-        rhs = transforms.euler_laplace(eta_phi, x1) * transforms.euler_laplace(
-            eta_psi, x2
-        )
-        result.check(abs(lhs - rhs), 1e-10, f"case {i}: box-product identity")
+        lhs, s = _transform(box_product(eta_phi, eta_psi), np.concatenate([x1, x2]), laplace)
+        (f, sf), (g, sg) = _transform(eta_phi, x1, laplace), _transform(eta_psi, x2, laplace)
+        result.close(lhs, f * g, s + sf * sg, f"case {i}: box-product identity")
 
 
 @_suite
@@ -431,48 +459,44 @@ def suite_ef_convolution(rng, result):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         conv = convolve_nd(phi, psi)
-        ef = transforms.euler_fourier
         xi_pos = random_direction(rng, 2, positive=True)
-        result.check(
-            abs(ef(conv, xi_pos) - 1j * ef(phi, xi_pos) * ef(psi, xi_pos)),
-            1e-10,
-            f"case {i}: +i branch",
-        )
-        xi_neg = -xi_pos
-        result.check(
-            abs(ef(conv, xi_neg) + 1j * ef(phi, xi_neg) * ef(psi, xi_neg)),
-            1e-10,
-            f"case {i}: -i branch",
-        )
+        for xi, unit in ((xi_pos, 1j), (-xi_pos, -1j)):
+            (lhs, s), (f, sf), (g, sg) = (
+                _transform(h, xi, kernels.fourier()) for h in (conv, phi, psi)
+            )
+            result.close(lhs, unit * f * g, s + sf * sg, f"case {i}: {unit:+} branch")
         xi_mixed = np.array([xi_pos[0], -xi_pos[1]])
         for name, func in (("conv", conv), ("phi", phi), ("psi", psi)):
-            result.check(
-                abs(ef(func, xi_mixed)),
-                0,
+            result.check_true(
+                transforms.euler_fourier(func, xi_mixed) == 0,
                 f"case {i}: vanishing branch ({name})",
             )
 
 
-@_suite
-def suite_voxel_laplace(rng, result):
+def _voxel_relation(rng, result, kernel, unit):
+    """EL (unit 1) or EF (unit i) of a voxel sum at xi in the open positive
+    quadrant is unit^(d-1) * prod(xi) times the classical transform at
+    unit * xi."""
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
-        lhs = transforms.euler_laplace(phi, xi)
-        rhs = lebesgue_laplace_voxels(phi, xi) * float(np.prod(xi))
-        scale = max(abs(lhs), abs(rhs), 1e-6)
-        result.check(abs(lhs - rhs) / scale, 1e-10, f"case {i}: Laplace relation")
+        value, size = lebesgue_voxels(phi, unit * xi)
+        factor = unit ** (len(xi) - 1) * float(np.prod(xi))
+        result.close(
+            transforms.hybrid_transform(phi, xi, kernel), factor * value,
+            _pairing_size(phi, xi, kernel) + abs(factor) * size,
+            f"case {i}: {kernel.name} relation",
+        )
+
+
+@_suite
+def suite_voxel_laplace(rng, result):
+    _voxel_relation(rng, result, kernels.laplace(), 1.0)
 
 
 @_suite
 def suite_voxel_fourier(rng, result):
-    for i in range(result.cases):
-        phi = random_voxel_cfnd(rng)
-        xi = random_direction(rng, 2, positive=True)
-        lhs = transforms.euler_fourier(phi, xi)
-        rhs = (1j ** (2 - 1)) * lebesgue_fourier_voxels(phi, xi) * float(np.prod(xi))
-        scale = max(abs(lhs), abs(rhs), 1e-6)
-        result.check(abs(lhs - rhs) / scale, 1e-10, f"case {i}: Fourier relation")
+    _voxel_relation(rng, result, kernels.fourier(), 1j)
 
 
 @_suite
@@ -481,15 +505,10 @@ def suite_pushforward_structure(rng, result):
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi_pos = random_direction(rng, 2, positive=True)
+        pushed = pushforward_linear(phi, xi_pos)
+        result.check_true(pushed.is_right_closed(), f"case {i}: right-closed pushforward")
         result.check_true(
-            pushforward_linear(phi, xi_pos).is_right_closed(),
-            f"case {i}: right-closed pushforward",
-        )
-        closure = cone_closure(phi, cone)
-        result.check_true(
-            pushforward_linear(closure, xi_pos).equals(
-                pushforward_linear(phi, xi_pos)
-            ),
+            pushforward_linear(cone_closure(phi, cone), xi_pos).equals(pushed),
             f"case {i}: closure invariance of constructible input",
         )
         mixed = random_mixed_cfnd(rng)
@@ -500,20 +519,18 @@ def suite_pushforward_structure(rng, result):
         result.check_true(lhs.equals(rhs), f"case {i}: translation exchange")
         psi = random_voxel_cfnd(rng)
         lhs = pushforward_linear(convolve_nd(phi, psi), xi_pos)
-        rhs = pushforward_linear(phi, xi_pos).convolve(
-            pushforward_linear(psi, xi_pos)
-        )
+        rhs = pushed.convolve(pushforward_linear(psi, xi_pos))
         result.check_true(lhs.equals(rhs), f"case {i}: convolution exchange")
         eta1 = random_direction(rng, 2)
         eta2 = random_direction(rng, 2)
-        prod = box_product(phi, psi)
-        lhs = pushforward_linear(prod, np.concatenate([eta1, eta2]))
+        lhs = pushforward_linear(box_product(phi, psi), np.concatenate([eta1, eta2]))
         rhs = pushforward_linear(phi, eta1).convolve(pushforward_linear(psi, eta2))
         result.check_true(lhs.equals(rhs), f"case {i}: box-product exchange")
 
 
 @_suite
 def suite_regularity_regions(rng, result):
+    laplace = kernels.laplace()
     for i in range(result.cases):
         pts = rng.uniform(-2, 2, size=(int(rng.integers(3, 6)), 2))
         poly = CFND.from_polytope_points(pts)
@@ -529,9 +546,11 @@ def suite_regularity_regions(rng, result):
                 or np.argmin(values) != np.argmin(pts @ xi0)
             ):
                 continue  # perturbation left the open constancy region
-            lhs = transforms.euler_laplace(poly, xi)
+            lhs = transforms.hybrid_transform(poly, xi, laplace)
             rhs = math.exp(-float(xi @ v_min)) - math.exp(-float(xi @ v_max))
-            result.check(abs(lhs - rhs), 1e-12, f"case {i}: argmax-region closed form")
+            # the closed form is the same pairing, at the extreme vertices
+            size = 2 * _pairing_size(poly, xi, laplace)
+            result.close(lhs, rhs, size, f"case {i}: argmax-region closed form")
 
 
 @_suite
@@ -540,15 +559,15 @@ def suite_kernels(rng, result):
         kernel = (kernels.laplace(), kernels.heaviside(), kernels.ecb(1.0))[i % 3]
         a, b, c = np.sort(rng.uniform(-5, 5, size=3))
         lhs = kernel.integrate(a, b) + kernel.integrate(b, c)
-        result.check(abs(lhs - kernel.integrate(a, c)), 1e-12, f"case {i}: additivity")
+        # the two sides add K twice at each of a, b and c
+        size = 2 * sum(abs(kernel.antideriv_at(x)) for x in (a, b, c))
+        result.close(lhs, kernel.integrate(a, c), size, f"case {i}: additivity")
         if kernel.monotonicity == "increasing":
             lo = max(kernel.window[0], -8.0)
             hi = min(kernel.window[1], 8.0)
             xs = np.sort(rng.uniform(lo, hi, size=2))
-            if xs[1] - xs[0] > 1e-9:
-                diff = kernel.antideriv_at(float(xs[1])) - kernel.antideriv_at(
-                    float(xs[0])
-                )
+            if xs[1] - xs[0] > EPS:  # distinct as breakpoints
+                diff = kernel.antideriv_at(float(xs[1])) - kernel.antideriv_at(float(xs[0]))
                 result.check_true(diff > 0, f"case {i}: increasing tag")
 
 
@@ -566,54 +585,45 @@ def suite_sublevel_complex(rng, result):
             full_subcomplex_curve(complex_, g).equals(curve),
             f"case {i}: full-subcomplex cross-check",
         )
-        result.check(
-            abs(curve.at_infinity() - euler_characteristic(complex_)),
-            0,
+        result.check_true(
+            curve.at_infinity() == euler_characteristic(complex_),
             f"case {i}: curve saturates at chi(Z)",
         )
 
 
-@_suite
-def suite_index_sublevel(rng, result):
+def _index_suite(rng, result, index_check, open_below):
+    """Both sides of an index formula under +-Laplace, windowed on (a, b)
+    and on (a, inf), or on (-inf, inf) if open_below."""
     for i in range(result.cases):
         complex_ = random_complex(rng)
         xi = random_direction(rng, 2)
         a, b = np.sort(rng.uniform(-2.0, 4.0, size=2))
         for base in (kernels.laplace(), kernels.negate(kernels.laplace())):
-            for window in ((a, b), (a, float("inf"))):
+            for window in ((a, b), (-math.inf if open_below else a, math.inf)):
                 kernel = kernels.compose_window(base, *window)
-                report = index_formula_check(complex_, None, xi, kernel)
-                result.check(
-                    report.difference,
-                    1e-9,
-                    f"case {i}: sublevel index ({base.name}, window {window})",
+                report = index_check(complex_, None, xi, kernel)
+                result.close(
+                    report.lhs, report.rhs, report.size,
+                    f"case {i}: {index_check.__name__} ({base.name}, window {window})",
                 )
+
+
+@_suite
+def suite_index_sublevel(rng, result):
+    _index_suite(rng, result, index_formula_check, open_below=False)
 
 
 @_suite
 def suite_index_level(rng, result):
-    for i in range(result.cases):
-        complex_ = random_complex(rng)
-        xi = random_direction(rng, 2)
-        a, b = np.sort(rng.uniform(-2.0, 4.0, size=2))
-        for base in (kernels.laplace(), kernels.negate(kernels.laplace())):
-            for window in ((a, b), (float("-inf"), float("inf"))):
-                kernel = kernels.compose_window(base, *window)
-                report = level_index_check(complex_, None, xi, kernel)
-                result.check(
-                    report.difference,
-                    1e-9,
-                    f"case {i}: level index ({base.name}, window {window})",
-                )
+    _index_suite(rng, result, level_index_check, open_below=True)
 
 
 @_suite
 def suite_index_gr(rng, result):
     for i in range(result.cases):
         complex_ = random_complex(rng)
-        xi = random_direction(rng, 2)
-        report = gr_index_check(complex_, None, xi)
-        result.check(report.difference, 1e-9, f"case {i}: half-line index")
+        report = gr_index_check(complex_, None, random_direction(rng, 2))
+        result.close(report.lhs, report.rhs, report.size, f"case {i}: half-line index")
 
 
 @_suite
@@ -621,9 +631,14 @@ def suite_bessel_dual(rng, result):
     for i in range(result.cases):
         complex_ = random_complex(rng, max_cells=30)
         v = rng.uniform(-1.0, 3.0, size=2)
-        direct = euler_bessel(complex_, v)
-        index = euler_bessel_index(complex_, v)
-        result.check(abs(direct - index), 1e-9, f"case {i}: dual-path agreement")
+        # either side adds at most (1 + |w_c|) * d_c per cell c
+        weights = dict(complex_.weighted_cells)
+        dists = cell_distances(complex_, v)
+        size = 2 * sum((1 + abs(weights.get(c, 0))) * d for c, d in dists.items())
+        result.close(
+            euler_bessel(complex_, v), euler_bessel_index(complex_, v), size,
+            f"case {i}: dual-path agreement",
+        )
 
 
 @_suite
@@ -631,9 +646,7 @@ def suite_radon(rng, result):
     cone = OrthantCone.nonpositive(2)
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
-        result.check_true(
-            chi_vanishing_check(phi, cone), f"case {i}: Euler integral vanishes"
-        )
+        result.check_true(chi_vanishing_check(phi, cone), f"case {i}: Euler integral vanishes")
         sign = rng.choice([-1.0, 1.0])
         xi_mixed = np.array([sign, -sign]) * rng.integers(1, 4, size=2)
         result.check_true(
@@ -644,13 +657,13 @@ def suite_radon(rng, result):
             radon_support_check(phi, cone, random_direction(rng, 2, positive=True)),
             f"case {i}: vacuous branch",
         )
+    quadrature_bound = 0.05  # trapezoid error at the default RecoveryParams, not rounding
     square = CFND.from_box([0.0, 0.0], [1.0, 1.0])
     for t, want in ((0.25, 1.0), (0.5, 1.0), (1.5, -1.0)):
         got = recover_pushforward(square, cone, np.array([1.0, 1.0]), t)
-        result.check(abs(got - want), 0.05, f"recovery at t={t}")
-    result.check(
-        abs(recover_pushforward(square, cone, np.array([1.0, -1.0]), 0.5)),
-        0,
+        result.check_true(abs(got - want) <= quadrature_bound, f"recovery at t={t}: got {got!r}")
+    result.check_true(
+        recover_pushforward(square, cone, np.array([1.0, -1.0]), 0.5) == 0,
         "mixed-direction recovery is exact zero",
     )
 
@@ -682,38 +695,6 @@ def _outcome(evaluate):
         return "overflow"
 
 
-def _pairing_tolerance(phi, xi, kernel):
-    """Allowed gap between two exact pairing routes at one form.
-
-    1e-12 relative to every term, plus 1e-9 times the kernel at each end
-    point within 1e-9 of another end point or a window end, where the step
-    algebra merges breakpoints.  Points (segments with equal ends) have no
-    terms.  |kernel| is bounded by |K| + 1 for every kernel of the library.
-    """
-    points, starts, coefs, rays = bounded_point_groups(phi)
-    proj = points @ xi
-    bounds = list(starts[1:]) + [len(points)]
-    ends, weights = [], []
-    for start, stop, coef in zip(starts, bounds, coefs):
-        lo, hi = proj[start:stop].min(), proj[start:stop].max()
-        ends += [lo, hi]
-        weights += [0 if lo == hi else abs(int(coef))] * 2
-    for coef, box in rays.terms:
-        ends.append(float(box.low @ xi))
-        weights.append(abs(coef))
-    marks = np.unique(ends + [w for w in kernel.window if math.isfinite(w)])
-    close = marks[1:] - marks[:-1] <= 1e-9
-    near_marks = np.concatenate([marks[:-1][close], marks[1:][close]])
-    ends, weights = np.array(ends), np.array(weights, dtype=float)
-    near = np.isin(ends, near_marks)[weights > 0]
-    ends, weights = ends[weights > 0], weights[weights > 0]
-    with np.errstate(all="ignore"):  # near the float range it is inf
-        size = np.abs(kernel.antideriv(np.clip(ends, *kernel.window)))
-        rounding = float(np.sum(weights * (size + (size + 1.0) * (1.0 + np.abs(ends)))))
-        merge = float(np.sum(weights[near] * (size[near] + 1.0)))
-    return 1e-12 * (1.0 + rounding) + 1e-9 * merge
-
-
 @_suite
 def suite_transform_oracle(rng, result):
     """The vectorised transform engine against the pushforward route.
@@ -722,9 +703,9 @@ def suite_transform_oracle(rng, result):
     case draws a kernel and four forms (one sometimes large enough for the
     Laplace kernel to overflow).  Per form, single-form calls must agree
     with the pushforward paired against the kernel: the same value within
-    the pairing tolerance, or the same error.  The grid call over all four
-    forms must give the same missing cells, or raise the error of the first
-    form that raises one.
+    the tolerance plus the CF1D route's merge allowance, or the same error.
+    The grid call over all four forms must give the same missing cells, or
+    raise the error of the first form that raises one.
     """
     builders = (random_polytope_cfnd, random_voxel_cfnd, random_gamma_cfnd, random_ray_cfnd)
     for i in range(result.cases):
@@ -741,7 +722,9 @@ def suite_transform_oracle(rng, result):
             _outcome(lambda xi=xi: pushforward_linear(phi, xi).lebesgue_pair(kernel))
             for xi in forms
         ]
-        for xi, expected in zip(forms, want):
+        ends = [_generator_ends(phi, xi) for xi in forms]
+        sizes = [(_size(kernel, *e), _merge_size(kernel, *e)) for e in ends]
+        for xi, expected, (size, merge) in zip(forms, want, sizes):
             got = _outcome(lambda xi=xi: transforms.hybrid_transform(phi, xi, kernel))
             label = f"case {i}: {kernel.name} window {kernel.window} at {xi}"
             if isinstance(expected, str) or isinstance(got, str):
@@ -751,23 +734,21 @@ def suite_transform_oracle(rng, result):
                 type(got) is (complex if kernel.field == "complex" else float),
                 f"{label}: result type {type(got).__name__}",
             )
-            tol = _pairing_tolerance(phi, xi, kernel)
-            result.check(abs(got - expected) / tol, 1.0, f"{label}: gap over tolerance")
+            result.close(got, expected, size, label, merge)
         errors = [w for w in want if w in ("improper", "overflow")]
         grid = _outcome(lambda: transforms.hybrid_transform(phi, forms, kernel))
         if errors or isinstance(grid, str):
             want_grid = errors[0] if errors else "no error"
             result.check_true(grid == want_grid, f"case {i}: grid {grid!r}, want {want_grid!r}")
             continue
-        for xi, got, expected in zip(forms, grid, want):
+        for xi, got, expected, (size, merge) in zip(forms, grid, want, sizes):
             if got is None or expected == "missing":
                 result.check_true(
                     got is None and expected == "missing",
                     f"case {i}: grid cell at {xi}: got {got!r}, want {expected!r}",
                 )
             else:
-                tol = _pairing_tolerance(phi, xi, kernel)
-                result.check(abs(got - expected) / tol, 1.0, f"case {i}: grid cell at {xi}")
+                result.close(got, expected, size, f"case {i}: grid cell at {xi}", merge)
 
 
 def run_suites(names=None, seed=42, cases=50):

@@ -124,6 +124,20 @@ class TestTransformCommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kernel", ["ecb:nan", "laplace:window=2,1", "laplace:window=nan,1"])
+    def test_bad_kernel_spec_exits_2(self, triangle_scene, kernel, capsys):
+        argv = ["transform", "--input", triangle_scene, "--kernel", kernel,
+                "--direction", "1,0", "--radius", "1"]
+        assert exit_code(argv) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_nonpositive_direction_count_exits_2(self, triangle_scene, count, capsys):
+        argv = ["transform", "--input", triangle_scene, "--directions", count,
+                "--radius", "1"]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().err == "error: --directions needs a positive count\n"
+
     def test_byte_stable_outputs(self, triangle_scene, tmp_path):
         args = ["transform", "--input", triangle_scene, "--kernel", "fourier",
                 "--directions", "6", "--radii", "0.5:1.5:3"]
@@ -206,6 +220,13 @@ class TestRadonCommand:
         assert_one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("extra", [["--t", "nan"], ["--delta", "inf"], ["--A", "inf"]])
+    def test_non_finite_numbers_exit_2(self, unit_cell_scene, extra, capsys):
+        argv = ["radon-recover", "--input", unit_cell_scene, "--xi", "1,1", "--t", "0.5"]
+        assert exit_code(argv + extra) == 2
+        assert_one_error_line(capsys)
+
+
 class TestVerifyCommand:
     def test_subset_runs(self, capsys):
         code = cli.main(["verify", "--suite", "geometry", "--suite", "kernels",
@@ -245,6 +266,11 @@ class TestVerifyCommand:
         code = cli.main(["verify", "--suite", "transform_oracle", "--cases", "20"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cases", ["-3", "0"])
+    def test_nonpositive_cases_exit_2(self, cases, capsys):
+        assert exit_code(["verify", "--suite", "geometry", "--cases", cases]) == 2
+        assert_one_error_line(capsys)
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit):

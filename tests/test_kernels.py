@@ -97,6 +97,13 @@ class TestEcb:
 
 
 class TestParse:
+    @pytest.mark.parametrize("bound", [float("nan"), -INF])
+    def test_ecb_bound_without_window_rejected(self, bound):
+        with pytest.raises(EmptyWindow):
+            kernels.ecb(bound)
+        with pytest.raises(EmptyWindow):
+            kernels.parse(f"ecb:{bound}")
+
     def test_names(self):
         assert kernels.parse("laplace").name == "laplace"
         assert kernels.parse("fourier").field == "complex"

@@ -60,6 +60,12 @@ class TestRecovery:
         with pytest.raises(ValueError):
             RecoveryParams(A=1.0, ds=2.0)
 
+    @pytest.mark.parametrize("field", ["A", "ds", "delta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            RecoveryParams(**{field: value})
+
 
 class TestSupportCheck:
     def test_mixed_directions_vanish(self):
