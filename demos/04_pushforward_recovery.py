@@ -9,11 +9,10 @@ profile vanishes identically.
 
 import numpy as np
 
-from eucalc import CFND, OrthantCone, pushforward_linear, recover_pushforward
+from eucalc import CFND, pushforward_linear, recover_pushforward
 from eucalc.radon import RecoveryParams, chi_vanishing_check, radon_support_check
 
 cell = CFND.from_box([0.0, 0.0], [1.0, 1.0])
-cone = OrthantCone.nonpositive(2)
 xi = np.array([1.0, 1.0])
 
 exact = pushforward_linear(cell, xi)
@@ -21,25 +20,25 @@ print(f"Exact pushforward along (1,1): {exact}")
 
 print("\nRecovered values from the truncated inverse integral:")
 for t in (0.25, 0.5, 1.5, 2.5):
-    got = recover_pushforward(cell, cone, xi, t)
+    got = recover_pushforward(cell, xi, t)
     print(f"  t={t:4.2f}: recovered {got:+.4f}, exact {exact.evaluate(t):+d}")
 
 # exactly on a jump the truncated integral sees only part of the one-sided
 # limit; pulling the probe clear of the breakpoint restores full accuracy
-at_jump = recover_pushforward(cell, cone, xi, 1.0)
-near_jump = recover_pushforward(cell, cone, xi, 1.05)
+at_jump = recover_pushforward(cell, xi, 1.0)
+near_jump = recover_pushforward(cell, xi, 1.05)
 print(f"\nAt the jump t=1.0 the truncation bites: {at_jump:+.4f}; "
       f"a short step away t=1.05 gives {near_jump:+.4f}")
 
 print("\nHalving the quadrature step barely moves the answer:")
 fine = RecoveryParams(A=500.0, ds=0.005, delta=1e-3)
 for t in (0.5, 1.5):
-    coarse = recover_pushforward(cell, cone, xi, t)
-    refined = recover_pushforward(cell, cone, xi, t, fine)
+    coarse = recover_pushforward(cell, xi, t)
+    refined = recover_pushforward(cell, xi, t, fine)
     print(f"  t={t}: {coarse:+.6f} -> {refined:+.6f}")
 
 print("\nStructural checks behind the reconstruction:")
 print(f"  profile vanishes for mixed directions: "
-      f"{recover_pushforward(cell, cone, [1.0, -1.0], 0.5) == 0.0}")
-print(f"  support check at (2,-3): {radon_support_check(cell, cone, [2.0, -3.0])}")
-print(f"  Euler integral vanishes: {chi_vanishing_check(cell, cone)}")
+      f"{recover_pushforward(cell, [1.0, -1.0], 0.5) == 0.0}")
+print(f"  support check at (2,-3): {radon_support_check(cell, [2.0, -3.0])}")
+print(f"  Euler integral vanishes: {chi_vanishing_check(cell)}")

@@ -47,12 +47,10 @@ from .complexes import (
     upper_euler_integral,
 )
 from .geometry import (
-    OrthantCone,
     Polytope,
     dist_to_simplex,
     max_dist_to_simplex,
     minkowski_points,
-    polar_contains,
     support_value,
 )
 from .kernels import Kernel, compose_window, ecb, fourier, heaviside, laplace

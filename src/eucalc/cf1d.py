@@ -23,6 +23,8 @@ points.
 
 Tolerance policy of the library, in one place: end points and breakpoints
 within EPS = 1e-9 merge (here, and in every module that snaps values);
+radon's sign test puts a direction on the up side when every component is
+>= -EPS and on the down side when every component is <= EPS;
 geometry.dist_to_simplex accepts barycentric coordinates down to -1e-12;
 EmbeddedComplex rejects a cell whose vertex differences have rank below
 its dimension at tolerance 1e-12.  The verify suites hold two routes to

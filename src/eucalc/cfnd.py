@@ -3,10 +3,12 @@
 Two generator classes are supported: closed polytopes in vertex representation
 and half-open boxes prod_i [low_i, high_i).  Boxes may have +inf upper bounds
 (orthant rays); those arise as outputs of cone_closure and stay internal to
-pushforwards and evaluation.  Everything reduces to the 1-D step algebra
-through linear pushforwards.  Transforms pair kernels with the generating
-points of the bounded generators directly (bounded_point_groups) and use
-the pushforward for ray boxes and as their oracle.
+pushforwards and evaluation.  The one cone is the nonpositive orthant: a
+function is cone-constructible when it equals its convolution with the
+nonnegative orthant (cone_closure).  Everything reduces to the 1-D step
+algebra through linear pushforwards.  Transforms pair kernels with the
+generating points of the bounded generators directly (bounded_point_groups)
+and use the pushforward for ray boxes and as their oracle.
 
 Every box rule is a signed tensor product of per-axis 1-D rules: each axis
 offers a short list of (sign, interval) choices, and the box splits into one
@@ -23,14 +25,14 @@ from math import prod
 import numpy as np
 from scipy.optimize import linprog
 
-from .cf1d import CF1D
+from .cf1d import CF1D, EPS
 from .errors import (
     DimensionMismatch,
     ImproperConvolution,
     NonCompactSupport,
     UnsupportedGenerator,
 )
-from .geometry import EPS, Polytope, as_vector, minkowski_points, support_interval
+from .geometry import Polytope, _as_int, as_vector, minkowski_points, support_interval
 
 INF = float("inf")
 
@@ -80,7 +82,8 @@ class CFND:
     terms: tuple  # of (coefficient, generator)
 
     def __post_init__(self):
-        terms = tuple((int(c), g) for c, g in self.terms)
+        object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension"))
+        terms = tuple((_as_int(c, "coefficient"), g) for c, g in self.terms)
         for _, g in terms:
             if g.dimension != self.dimension:
                 raise DimensionMismatch("generator dimension differs from ambient")
@@ -364,21 +367,15 @@ def _axis_intervals(gen):
     return [("closed", lo, hi) for lo, hi in zip(lows, highs)]
 
 
-def cone_closure(phi, cone):
-    """Convolution with the indicator of the reversed cone (an orthant ray).
+def cone_closure(phi):
+    """Convolution with the indicator of the reversed cone, the nonnegative
+    orthant.
 
-    Restricted to the nonpositive orthant, whose reversal is the nonnegative
-    one: on each axis [a,b) * [0,inf) = [a,inf) - [b,inf) and
+    On each axis [a,b) * [0,inf) = [a,inf) - [b,inf) and
     [a,b] * [0,inf) = [a,inf).  Generators must be half-open boxes or
     axis-aligned closed boxes; the output consists of orthant-ray boxes.
     A function equals its closure exactly when it is cone-constructible.
     """
-    if cone.dimension != phi.dimension:
-        raise DimensionMismatch("cone dimension differs from ambient")
-    if any(s != -1 for s in cone.signs):
-        raise UnsupportedGenerator(
-            "cone closure is implemented for the nonpositive orthant only"
-        )
     terms = []
     for coef, gen in phi.terms:
         options = [
@@ -426,9 +423,9 @@ def equal_on_witness_grid(phi, psi):
     return True
 
 
-def is_cone_constructible(phi, cone):
+def is_cone_constructible(phi):
     """Whether phi equals its cone closure (checked on a witness grid)."""
-    return equal_on_witness_grid(phi, cone_closure(phi, cone))
+    return equal_on_witness_grid(phi, cone_closure(phi))
 
 
 def scene_from_json(data):
@@ -438,10 +435,9 @@ def scene_from_json(data):
     {"coef": m, "type": "halfopen_box", "low": [...], "high": [...]};
     box highs may be Infinity for orthant rays.
     """
-    dim = int(data["dimension"])
     terms = []
     for term in data["terms"]:
-        coef = int(term["coef"])
+        coef = term["coef"]
         if term["type"] == "polytope":
             poly = Polytope(np.asarray(term["points"], dtype=float))
             terms.append((coef, ClosedPolytope(poly)))
@@ -457,4 +453,4 @@ def scene_from_json(data):
             )
         else:
             raise ValueError(f"unknown term type {term['type']!r}")
-    return CFND(dim, tuple(terms))
+    return CFND(data["dimension"], tuple(terms))

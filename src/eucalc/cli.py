@@ -18,7 +18,6 @@ from . import kernels, transforms
 from .cfnd import scene_from_json
 from .complexes import ect, euler_bessel, mesh_from_json, sublevel_transform
 from .errors import EucalcError, NonIntegrable
-from .geometry import OrthantCone
 from .radon import RecoveryParams, recover_pushforward
 from .verify import SUITES, run_suites
 
@@ -50,7 +49,8 @@ def _load_json(path, loader, kind):
         with open(path) as handle:
             data = json.load(handle)
         return loader(data)
-    except (OSError, ValueError, KeyError, TypeError, EucalcError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            EucalcError) as exc:
         _fail(f"cannot read {kind} {path!r}: {exc}")
 
 
@@ -89,7 +89,10 @@ def _radii(args):
             return np.array([float(r) for r in args.radius])
         if args.radii:
             lo, hi, steps = args.radii.split(":")
-            return np.linspace(float(lo), float(hi), int(steps))
+            lo, hi, steps = float(lo), float(hi), int(steps)
+            if steps < 1:
+                _fail("--radii needs a positive step count")
+            return np.linspace(lo, hi, steps)
     except ValueError as exc:
         _fail(f"bad radii: {exc}")
     _fail("need --radius or --radii lo:hi:steps")
@@ -168,15 +171,12 @@ def cmd_sublevel(args):
 
 def cmd_radon_recover(args):
     scene = _load_json(args.input, scene_from_json, "scene")
-    if args.gamma != "neg":
-        _fail("only --gamma neg (nonpositive orthant) is supported")
-    cone = OrthantCone.nonpositive(scene.dimension)
     xi = _parse_point(args.xi, scene.dimension, "--xi")
     if not math.isfinite(args.t):
         _fail("--t must be finite")
     try:
         params = RecoveryParams(A=args.A, ds=args.ds, delta=args.delta)
-        recovered = recover_pushforward(scene, cone, xi, args.t, params)
+        recovered = recover_pushforward(scene, xi, args.t, params)
         from .cfnd import pushforward_linear
 
         exact = pushforward_linear(scene, xi).evaluate(args.t)
@@ -250,7 +250,6 @@ def build_parser():
     p = sub.add_parser("radon-recover",
                        help="recover a pushforward value from transform data")
     p.add_argument("--input", required=True)
-    p.add_argument("--gamma", default="neg")
     p.add_argument("--xi", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--A", type=float, default=500.0)

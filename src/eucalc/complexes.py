@@ -31,7 +31,7 @@ import numpy as np
 
 from .cf1d import CF1D, EPS, _cluster, _inside
 from .errors import MonotonicityUnknown
-from .geometry import dist_to_simplex
+from .geometry import _as_int, dist_to_simplex
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +48,14 @@ class EmbeddedComplex:
 
     def __post_init__(self):
         vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinates must be finite")
         closed = set()
         for cell in self.cells:
-            cell = tuple(sorted(int(i) for i in cell))
+            cell = tuple(sorted(_as_int(i, "vertex index") for i in cell))
             if not cell:
                 raise ValueError("empty cell")
-            if cell[-1] >= len(vertices):
+            if cell[0] < 0 or cell[-1] >= len(vertices):
                 raise ValueError("vertex index out of range")
             for size in range(1, len(cell) + 1):
                 closed.update(combinations(cell, size))
@@ -97,6 +99,8 @@ class PLFunction:
         values = np.asarray(self.vertex_values, dtype=float).reshape(-1)
         if values.size != len(self.complex.vertices):
             raise ValueError("need one value per vertex")
+        if not np.isfinite(values).all():
+            raise ValueError("vertex values must be finite")
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "vertex_values", values)

@@ -5,14 +5,14 @@ convex hull is the represented set; redundant points are allowed).  Every
 operation needed downstream -- support values, extremes of linear forms,
 Minkowski sums, distances to simplices -- is a computation over the
 generating points, so no hull or H-representation machinery is required.
+Cones need no type: the library's one cone is the nonpositive orthant,
+fixed in cfnd.cone_closure and in radon's sign test on the direction.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-
-from .cf1d import EPS
 
 
 def as_vector(x):
@@ -23,6 +23,13 @@ def as_vector(x):
     if not np.isfinite(v).all():
         raise ValueError("coordinates must be finite")
     return v
+
+
+def _as_int(x, what):
+    """x as an int; ValueError unless it is integral (1.5, nan and inf fail)."""
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,37 +53,6 @@ class Polytope:
         return self.points.shape[1]
 
 
-@dataclass(frozen=True)
-class OrthantCone:
-    """Axis-aligned orthant: the product of half-lines prescribed by signs.
-
-    ``signs[i] == -1`` selects the nonpositive axis, ``+1`` the nonnegative
-    one.  This is the only cone class the library implements; general
-    polyhedral cones are out of scope.
-    """
-
-    signs: tuple
-
-    def __post_init__(self):
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be a nonempty tuple of -1/+1")
-
-    @property
-    def dimension(self):
-        return len(self.signs)
-
-    def antipodal(self):
-        return OrthantCone(tuple(-s for s in self.signs))
-
-    @classmethod
-    def nonpositive(cls, dim):
-        return cls((-1,) * dim)
-
-    @classmethod
-    def nonnegative(cls, dim):
-        return cls((1,) * dim)
-
-
 def support_value(polytope, xi):
     """Support value h(xi): maximum of <xi, p> over the generating points."""
     xi = as_vector(xi)
@@ -94,17 +70,6 @@ def support_interval(polytope, xi):
     xi = as_vector(xi)
     vals = polytope.points @ xi
     return float(np.min(vals)), float(np.max(vals))
-
-
-def polar_contains(cone, xi):
-    """Whether xi lies in the polar cone {xi : xi(cone) >= 0} of an orthant.
-
-    Componentwise: xi_i * sign_i >= 0 on every axis.
-    """
-    xi = as_vector(xi)
-    if xi.size != cone.dimension:
-        raise ValueError("dimension mismatch between cone and form")
-    return bool(all(s * x >= -EPS for s, x in zip(cone.signs, xi)))
 
 
 def _project_to_face(v, face_points):

@@ -1,9 +1,12 @@
 """Numeric recovery of directional pushforwards from Euler-Fourier data.
 
-For a cone-constructible function the complex transform values along a ray of
-directions determine the 1-D pushforward through a truncated inverse Fourier
-integral with one-sided evaluation; outside the two polar cones the
-pushforward vanishes identically, which is checked exactly.
+The cone is the nonpositive orthant.  For a cone-constructible function the
+complex transform values along a ray of directions determine the 1-D
+pushforward through a truncated inverse Fourier integral with one-sided
+evaluation.  The two polar cones are the directions with every component
+>= -EPS (the up side) and those with every component <= EPS (the down
+side); outside both the pushforward vanishes identically, which is checked
+exactly.
 """
 
 import math
@@ -11,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cf1d import EPS
 from .cfnd import is_cone_constructible, pushforward_linear
-from .errors import NotConeConstructible, ZeroDirection
-from .geometry import as_vector, polar_contains
+from .errors import DimensionMismatch, NotConeConstructible, ZeroDirection
+from .geometry import as_vector
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,16 @@ class RecoveryParams:
             raise ValueError("need 0 < ds < A and delta > 0, all finite")
 
 
-def recover_pushforward(phi, cone, xi, t, params=RecoveryParams()):
+def _sides(phi, xi):
+    """(up, down): whether the form xi lies in the polar cone of the
+    nonnegative orthant (every xi_i >= -EPS) and of the nonpositive one
+    (every xi_i <= EPS)."""
+    if xi.size != phi.dimension:
+        raise DimensionMismatch("form dimension differs from ambient")
+    return bool(np.all(xi >= -EPS)), bool(np.all(xi <= EPS))
+
+
+def recover_pushforward(phi, xi, t, params=RecoveryParams()):
     """Approximate (xi_* phi)(t) from the transform with kernel exp(-is t).
 
     The direction must be nonzero; phi must be cone-constructible.  If xi
@@ -37,18 +50,16 @@ def recover_pushforward(phi, cone, xi, t, params=RecoveryParams()):
     returned without quadrature.  Otherwise the classical Fourier transform
     of the pushforward is integrated over |s| in [ds, A] by the trapezoid
     rule (the origin is excluded symmetrically) with the evaluation point
-    shifted by +delta inside the polar cone of the reversed cone and by
-    -delta inside the polar cone of the cone itself, matching the one-sided
-    continuity of the pushforward on either side.
+    shifted by +delta on the up side and by -delta on the down side,
+    matching the one-sided continuity of the pushforward on either side.
     """
     xi = as_vector(xi)
     if not np.any(xi):
         raise ZeroDirection("need a nonzero direction")
-    if not is_cone_constructible(phi, cone):
+    if not is_cone_constructible(phi):
         raise NotConeConstructible("input is not cone-constructible")
 
-    in_up = polar_contains(cone.antipodal(), xi)
-    in_down = polar_contains(cone, xi)
+    in_up, in_down = _sides(phi, xi)
     if not in_up and not in_down:
         return 0.0
 
@@ -68,7 +79,7 @@ def recover_pushforward(phi, cone, xi, t, params=RecoveryParams()):
     return float(np.trapezoid(integrand.real, s) / np.pi)
 
 
-def radon_support_check(phi, cone, xi):
+def radon_support_check(phi, xi):
     """For xi outside both polar cones the pushforward must vanish exactly.
 
     Inside either polar cone the statement is vacuous and True is returned.
@@ -76,16 +87,16 @@ def radon_support_check(phi, cone, xi):
     xi = as_vector(xi)
     if not np.any(xi):
         raise ZeroDirection("need a nonzero direction")
-    if not is_cone_constructible(phi, cone):
+    if not is_cone_constructible(phi):
         raise NotConeConstructible("input is not cone-constructible")
-    if polar_contains(cone, xi) or polar_contains(cone.antipodal(), xi):
+    if any(_sides(phi, xi)):
         return True
     return pushforward_linear(phi, xi).is_zero()
 
 
-def chi_vanishing_check(phi, cone):
+def chi_vanishing_check(phi):
     """Compactly supported cone-constructible functions integrate to zero."""
-    if not is_cone_constructible(phi, cone):
+    if not is_cone_constructible(phi):
         raise NotConeConstructible("input is not cone-constructible")
     from .cfnd import euler_integral_nd
 

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as _kernels
+from .cf1d import EPS
 from .cfnd import bounded_point_groups, pushforward_linear
 from .errors import DimensionMismatch, NonIntegrable
-from .geometry import EPS, as_vector
+from .geometry import as_vector
 
 
 def _pair_bounded(points, starts, coefs, forms, kernel):

@@ -49,7 +49,7 @@ from .complexes import (
     sublevel_from_level_check,
 )
 from .errors import ImproperConvolution, NonIntegrable
-from .geometry import OrthantCone, Polytope, dist_to_simplex, minkowski_points, support_value
+from .geometry import Polytope, dist_to_simplex, minkowski_points, support_value
 from .radon import chi_vanishing_check, radon_support_check, recover_pushforward
 
 
@@ -145,7 +145,7 @@ def random_ray_cfnd(rng):
         low = rng.integers(-4, 5, size=2) * 0.5
         corners = [low, low + [0.5, 0.0], low + [0.0, 0.5], low + 0.5]
         phi = phi + CFND.from_polytope_points(corners)
-    closure = cone_closure(phi, OrthantCone.nonpositive(2))
+    closure = cone_closure(phi)
     return closure + random_polytope_cfnd(rng) if rng.integers(2) else closure
 
 
@@ -414,12 +414,11 @@ def _transform(f, xi, kernel):
 
 @_suite
 def suite_el_convolution(rng, result):
-    cone = OrthantCone.nonpositive(2)
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
         xi = random_direction(rng, 2, positive=True)
-        closures = (cone_closure(phi, cone), cone_closure(psi, cone))
+        closures = (cone_closure(phi), cone_closure(psi))
         (lhs, s), (f, sf), (g, sg), (fc, sfc), (gc, sgc) = (
             _transform(h, xi, kernels.laplace())
             for h in (convolve_nd(phi, psi), phi, psi, *closures)
@@ -432,12 +431,11 @@ def suite_el_convolution(rng, result):
 
 @_suite
 def suite_el_cone_product(rng, result):
-    cone = OrthantCone.nonpositive(2)
     laplace = kernels.laplace()
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         psi = random_voxel_cfnd(rng)
-        result.check_true(is_cone_constructible(phi, cone), f"case {i}: voxel sum constructible")
+        result.check_true(is_cone_constructible(phi), f"case {i}: voxel sum constructible")
         xi = random_direction(rng, 2, positive=True)
         (lhs, s), (f, sf), (g, sg) = (
             _transform(h, xi, laplace) for h in (convolve_nd(phi, psi), phi, psi)
@@ -501,14 +499,13 @@ def suite_voxel_fourier(rng, result):
 
 @_suite
 def suite_pushforward_structure(rng, result):
-    cone = OrthantCone.nonpositive(2)
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
         xi_pos = random_direction(rng, 2, positive=True)
         pushed = pushforward_linear(phi, xi_pos)
         result.check_true(pushed.is_right_closed(), f"case {i}: right-closed pushforward")
         result.check_true(
-            pushforward_linear(cone_closure(phi, cone), xi_pos).equals(pushed),
+            pushforward_linear(cone_closure(phi), xi_pos).equals(pushed),
             f"case {i}: closure invariance of constructible input",
         )
         mixed = random_mixed_cfnd(rng)
@@ -643,27 +640,26 @@ def suite_bessel_dual(rng, result):
 
 @_suite
 def suite_radon(rng, result):
-    cone = OrthantCone.nonpositive(2)
     for i in range(result.cases):
         phi = random_voxel_cfnd(rng)
-        result.check_true(chi_vanishing_check(phi, cone), f"case {i}: Euler integral vanishes")
+        result.check_true(chi_vanishing_check(phi), f"case {i}: Euler integral vanishes")
         sign = rng.choice([-1.0, 1.0])
         xi_mixed = np.array([sign, -sign]) * rng.integers(1, 4, size=2)
         result.check_true(
-            radon_support_check(phi, cone, xi_mixed),
+            radon_support_check(phi, xi_mixed),
             f"case {i}: support vanishing at {xi_mixed}",
         )
         result.check_true(
-            radon_support_check(phi, cone, random_direction(rng, 2, positive=True)),
+            radon_support_check(phi, random_direction(rng, 2, positive=True)),
             f"case {i}: vacuous branch",
         )
     quadrature_bound = 0.05  # trapezoid error at the default RecoveryParams, not rounding
     square = CFND.from_box([0.0, 0.0], [1.0, 1.0])
     for t, want in ((0.25, 1.0), (0.5, 1.0), (1.5, -1.0)):
-        got = recover_pushforward(square, cone, np.array([1.0, 1.0]), t)
+        got = recover_pushforward(square, np.array([1.0, 1.0]), t)
         result.check_true(abs(got - want) <= quadrature_bound, f"recovery at t={t}: got {got!r}")
     result.check_true(
-        recover_pushforward(square, cone, np.array([1.0, -1.0]), 0.5) == 0,
+        recover_pushforward(square, np.array([1.0, -1.0]), 0.5) == 0,
         "mixed-direction recovery is exact zero",
     )
 

@@ -20,7 +20,7 @@ from eucalc.complexes import (
     euler_bessel,
     euler_bessel_index,
 )
-from eucalc.geometry import OrthantCone, Polytope
+from eucalc.geometry import Polytope
 from eucalc.radon import recover_pushforward
 from eucalc.verify import random_complex, run_suites
 
@@ -188,15 +188,14 @@ def test_criterion_08_euler_bessel_dual_path():
 
 
 def test_criterion_09_radon_recovery():
-    cone = OrthantCone.nonpositive(2)
     cell = CFND.from_box([0.0, 0.0], [1.0, 1.0])
     xi = np.array([1.0, 1.0])
     worst = 0.0
     for t, want in ((0.25, 1.0), (0.5, 1.0), (1.5, -1.0)):
-        got = recover_pushforward(cell, cone, xi, t)
+        got = recover_pushforward(cell, xi, t)
         worst = max(worst, abs(got - want))
         assert abs(got - want) <= 0.05
-    assert recover_pushforward(cell, cone, [1.0, -1.0], 0.5) == 0.0
+    assert recover_pushforward(cell, [1.0, -1.0], 0.5) == 0.0
     assert_suites_pass(["radon"])
     report("criterion 9", f"recovery within 0.05 (worst {worst:.3f}); exact checks on 50 scenes")
 

@@ -24,11 +24,9 @@ from eucalc.errors import (
     NonCompactSupport,
     UnsupportedGenerator,
 )
-from eucalc.geometry import OrthantCone
 
 UNIT_HO = CFND.from_box([0.0, 0.0], [1.0, 1.0])
 UNIT_CLOSED = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
-DOWN2 = OrthantCone.nonpositive(2)
 
 
 class TestEvaluate:
@@ -131,7 +129,7 @@ class TestEulerIntegral:
         assert euler_integral_nd(tri - hyp) == 0
 
     def test_ray_boxes_rejected(self):
-        rays = cone_closure(UNIT_CLOSED, DOWN2)
+        rays = cone_closure(UNIT_CLOSED)
         with pytest.raises(NonCompactSupport):
             euler_integral_nd(rays)
 
@@ -182,27 +180,27 @@ class TestConvolve:
 class TestConeClosure:
     def test_half_open_interval_fixed(self):
         phi = CFND.from_box([0.0], [1.0])
-        closed = cone_closure(phi, OrthantCone.nonpositive(1))
+        closed = cone_closure(phi)
         assert pushforward_linear(closed, [1.0]).equals(CF1D.half_open(0, 1))
 
     def test_closed_interval_becomes_ray(self):
         phi = CFND.from_polytope_points([[0.0], [1.0]])
-        closed = cone_closure(phi, OrthantCone.nonpositive(1))
+        closed = cone_closure(phi)
         assert pushforward_linear(closed, [1.0]).equals(CF1D.ray_up(0.0))
 
     def test_voxel_square_fixed(self):
-        assert is_cone_constructible(UNIT_HO, DOWN2)
+        assert is_cone_constructible(UNIT_HO)
 
     def test_closed_square_not_constructible(self):
-        assert not is_cone_constructible(UNIT_CLOSED, DOWN2)
+        assert not is_cone_constructible(UNIT_CLOSED)
 
     def test_zero_function(self):
-        assert is_cone_constructible(CFND(2, ()), DOWN2)
+        assert is_cone_constructible(CFND(2, ()))
 
     def test_huge_box_midpoints_do_not_overflow(self):
         # (1e308 + 1.7e308) / 2 overflows to inf; the witness grid must not
         huge = CFND.from_box([1e308, 0.0], [1.7e308, 1.0])
-        assert is_cone_constructible(huge, DOWN2)
+        assert is_cone_constructible(huge)
 
     def test_matches_1d_convolution_oracle(self):
         rng = np.random.default_rng(9)
@@ -210,21 +208,17 @@ class TestConeClosure:
             low = rng.integers(-3, 3, size=1) * 0.5
             width = rng.integers(1, 4, size=1) * 0.5
             phi = CFND.from_box(low, low + width, coefficient=int(rng.choice([-1, 1, 2])))
-            closed = cone_closure(phi, OrthantCone.nonpositive(1))
+            closed = cone_closure(phi)
             want = pushforward_linear(phi, [1.0]).convolve(CF1D.ray_up(0.0))
             assert pushforward_linear(closed, [1.0]).equals(want)
 
     def test_non_box_polytope_rejected(self):
         tri = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1]])
         with pytest.raises(UnsupportedGenerator):
-            cone_closure(tri, DOWN2)
-
-    def test_other_orthants_rejected(self):
-        with pytest.raises(UnsupportedGenerator):
-            cone_closure(UNIT_HO, OrthantCone((1, -1)))
+            cone_closure(tri)
 
     def test_ray_pushforward_needs_proper_form(self):
-        rays = cone_closure(UNIT_CLOSED, DOWN2)
+        rays = cone_closure(UNIT_CLOSED)
         assert pushforward_linear(rays, [1.0, 2.0]).equals(CF1D.ray_up(0.0))
         assert pushforward_linear(rays, [-1.0, -2.0]).equals(CF1D.ray_down(0.0))
         with pytest.raises(ImproperConvolution):
@@ -244,7 +238,7 @@ class TestConeClosure:
 
 class TestWitnessGrid:
     def test_detects_difference_beyond_extremes(self):
-        closure = cone_closure(UNIT_CLOSED, DOWN2)
+        closure = cone_closure(UNIT_CLOSED)
         assert not equal_on_witness_grid(
             closure, CFND.from_box([0.0, 0.0], [1.0, 1.0])
         )

@@ -40,6 +40,10 @@ def hollow_square_mesh(tmp_path):
     return str(path)
 
 
+# an isolated vertex at NaN: no cell rank test sees it
+NAN_POINT_MESH = {"vertices": [[0, 0], [1, 0], [float("nan"), 1]], "cells": [[0, 1], [2]]}
+
+
 def exit_code(argv):
     """Exit status of one CLI call, whether returned or raised."""
     try:
@@ -103,6 +107,7 @@ class TestTransformCommand:
         ["--directions", "4", "--radii", "1:x:3"],
         ["--directions", "4", "--radii", "1:2:x"],
         ["--direction", "1,x", "--radius", "1"],
+        ["--directions", "4", "--radii", "1:2:0"],
     ])
     def test_bad_grid_exits_2(self, triangle_scene, grid, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +128,20 @@ class TestTransformCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("dimension, coef", [
+        (2, 1.5), (2.9, 1), (2, float("inf")), (float("inf"), 1),
+    ])
+    def test_non_integral_scene_field_exits_2(self, tmp_path, dimension, coef, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({
+            "dimension": dimension,
+            "terms": [{"coef": coef, "type": "polytope", "points": [[0, 0], [1, 0]]}],
+        }))
+        argv = ["transform", "--input", str(scene), "--direction", "1,0",
+                "--radius", "1"]
+        assert exit_code(argv) == 2
+        assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("kernel", ["ecb:nan", "laplace:window=2,1", "laplace:window=nan,1"])
     def test_bad_kernel_spec_exits_2(self, triangle_scene, kernel, capsys):
@@ -196,10 +215,29 @@ class TestCurveCommands:
         assert_one_error_line(capsys)
 
 
+    @pytest.mark.parametrize("mesh, argv", [
+        ({"cells": [[-1, 0, 1]]}, ["ect", "--xi", "1,0"]),
+        ({"cells": [[0.7, 1, 2]]}, ["ect", "--xi", "1,0"]),
+        ({"cells": [[0, float("inf")]]}, ["ect", "--xi", "1,0"]),
+        (NAN_POINT_MESH, ["ect", "--xi", "1,0"]),
+        (NAN_POINT_MESH, ["bessel", "--center", "0,0"]),
+        ({"values": [0, float("nan"), 1]}, ["sublevel", "--direction", "1"]),
+        ({"vertices": [[10**400, 0], [1, 0], [0, 1]]}, ["ect", "--xi", "1,0"]),
+    ], ids=["negative-index", "fractional-index", "infinite-index",
+            "nan-vertex-ect", "nan-vertex-bessel", "nan-value", "huge-int-vertex"])
+    def test_bad_mesh_exits_2(self, tmp_path, mesh, argv, capsys):
+        path = tmp_path / "bad_mesh.json"
+        path.write_text(json.dumps(
+            {"vertices": [[0, 0], [1, 0], [0, 1]], "cells": [[0, 1, 2]], **mesh}
+        ))
+        assert exit_code(argv[:1] + ["--mesh", str(path)] + argv[1:]) == 2
+        assert_one_error_line(capsys)
+
+
 class TestRadonCommand:
     def test_prints_recovered_and_exact(self, unit_cell_scene, capsys):
         code = cli.main(["radon-recover", "--input", unit_cell_scene,
-                         "--gamma", "neg", "--xi", "1,1", "--t", "0.5",
+                         "--xi", "1,1", "--t", "0.5",
                          "--A", "500", "--ds", "0.01", "--delta", "1e-3"])
         assert code == 0
         out = capsys.readouterr().out.strip().split("\n")

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from eucalc.geometry import (
-    OrthantCone,
     Polytope,
     dist_to_simplex,
     max_dist_to_simplex,
     minkowski_points,
-    polar_contains,
     support_value,
 )
 
@@ -32,21 +30,6 @@ class TestSupportValue:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             support_value(Polytope([[0, 0]]), [1, 2, 3])
-
-
-class TestPolarContains:
-    def test_nonpositive_orthant(self):
-        gamma = OrthantCone.nonpositive(2)
-        assert polar_contains(gamma, [-1, -2])
-        assert not polar_contains(gamma, [1, -1])
-
-    def test_zero_form(self):
-        assert polar_contains(OrthantCone.nonnegative(2), [0, 0])
-
-    def test_antipodal(self):
-        gamma = OrthantCone.nonpositive(2)
-        assert gamma.antipodal().signs == (1, 1)
-        assert polar_contains(gamma.antipodal(), [2, 3])
 
 
 class TestDistToSimplex:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from eucalc import radon
 from eucalc.cfnd import CFND, pushforward_linear
-from eucalc.errors import NotConeConstructible, ZeroDirection
-from eucalc.geometry import OrthantCone
+from eucalc.errors import DimensionMismatch, NotConeConstructible, ZeroDirection
 from eucalc.radon import (
     RecoveryParams,
     chi_vanishing_check,
@@ -12,7 +12,6 @@ from eucalc.radon import (
 )
 from eucalc.verify import random_voxel_cfnd
 
-DOWN2 = OrthantCone.nonpositive(2)
 UNIT_HO = CFND.from_box([0.0, 0.0], [1.0, 1.0])
 DIAG = np.array([1.0, 1.0])
 
@@ -21,15 +20,15 @@ class TestRecovery:
     def test_unit_cell_values(self):
         # pushforward along (1,1) is 1_[0,1) - 1_[1,2)
         for t, want in ((0.25, 1.0), (0.5, 1.0), (1.5, -1.0)):
-            got = recover_pushforward(UNIT_HO, DOWN2, DIAG, t)
+            got = recover_pushforward(UNIT_HO, DIAG, t)
             assert got == pytest.approx(want, abs=0.05)
 
     def test_mixed_direction_exact_zero(self):
-        assert recover_pushforward(UNIT_HO, DOWN2, [1.0, -1.0], 0.5) == 0.0
-        assert recover_pushforward(UNIT_HO, DOWN2, [-2.0, 3.0], 0.5) == 0.0
+        assert recover_pushforward(UNIT_HO, [1.0, -1.0], 0.5) == 0.0
+        assert recover_pushforward(UNIT_HO, [-2.0, 3.0], 0.5) == 0.0
 
     def test_far_from_support(self):
-        assert recover_pushforward(UNIT_HO, DOWN2, DIAG, 10.0) == pytest.approx(
+        assert recover_pushforward(UNIT_HO, DIAG, 10.0) == pytest.approx(
             0.0, abs=0.05
         )
 
@@ -37,24 +36,41 @@ class TestRecovery:
         xi = np.array([-1.0, -1.0])
         exact = pushforward_linear(UNIT_HO, xi)
         for t in (-0.5, -1.5):
-            got = recover_pushforward(UNIT_HO, DOWN2, xi, t)
+            got = recover_pushforward(UNIT_HO, xi, t)
             assert got == pytest.approx(exact.evaluate(t), abs=0.05)
 
+    def test_form_within_eps_of_zero_takes_up_side(self, monkeypatch):
+        # (1, -1e-12) counts as nonnegative, so the quadrature pushes phi
+        # forward; (1, -1e-8) is mixed and returns the exact zero unpushed
+        pushed = []
+        monkeypatch.setattr(radon, "pushforward_linear",
+                            lambda phi, xi: pushed.append(xi) or pushforward_linear(phi, xi))
+        assert recover_pushforward(UNIT_HO, [1.0, -1e-12], 0.5) == 0.0
+        assert len(pushed) == 1
+        assert recover_pushforward(UNIT_HO, [1.0, -1e-8], 0.5) == 0.0
+        assert len(pushed) == 1
+
+    def test_form_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            recover_pushforward(UNIT_HO, [1.0, 1.0, 1.0], 0.5)
+        with pytest.raises(DimensionMismatch):
+            radon_support_check(UNIT_HO, [1.0, -1.0, 1.0])
+
     def test_step_halving_is_stable(self):
-        base = recover_pushforward(UNIT_HO, DOWN2, DIAG, 0.5)
+        base = recover_pushforward(UNIT_HO, DIAG, 0.5)
         fine = recover_pushforward(
-            UNIT_HO, DOWN2, DIAG, 0.5, RecoveryParams(A=500.0, ds=0.005, delta=1e-3)
+            UNIT_HO, DIAG, 0.5, RecoveryParams(A=500.0, ds=0.005, delta=1e-3)
         )
         assert abs(base - fine) < 0.05
 
     def test_requires_cone_constructible(self):
         closed = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
         with pytest.raises(NotConeConstructible):
-            recover_pushforward(closed, DOWN2, DIAG, 0.5)
+            recover_pushforward(closed, DIAG, 0.5)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ZeroDirection):
-            recover_pushforward(UNIT_HO, DOWN2, [0.0, 0.0], 0.5)
+            recover_pushforward(UNIT_HO, [0.0, 0.0], 0.5)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
@@ -69,12 +85,12 @@ class TestRecovery:
 
 class TestSupportCheck:
     def test_mixed_directions_vanish(self):
-        assert radon_support_check(UNIT_HO, DOWN2, [1.0, -1.0])
-        assert radon_support_check(UNIT_HO, DOWN2, [-2.0, 3.0])
+        assert radon_support_check(UNIT_HO, [1.0, -1.0])
+        assert radon_support_check(UNIT_HO, [-2.0, 3.0])
 
     def test_polar_directions_vacuous(self):
-        assert radon_support_check(UNIT_HO, DOWN2, [1.0, 1.0])
-        assert radon_support_check(UNIT_HO, DOWN2, [-1.0, -1.0])
+        assert radon_support_check(UNIT_HO, [1.0, 1.0])
+        assert radon_support_check(UNIT_HO, [-1.0, -1.0])
 
     def test_randomized_voxel_scenes(self):
         rng = np.random.default_rng(42)
@@ -82,19 +98,19 @@ class TestSupportCheck:
             phi = random_voxel_cfnd(rng)
             sign = rng.choice([-1.0, 1.0])
             xi = np.array([sign, -sign]) * rng.integers(1, 4, size=2)
-            assert radon_support_check(phi, DOWN2, xi)
+            assert radon_support_check(phi, xi)
 
 
 class TestChiVanishing:
     def test_unit_cell(self):
-        assert chi_vanishing_check(UNIT_HO, DOWN2)
+        assert chi_vanishing_check(UNIT_HO)
 
     def test_randomized_voxel_scenes(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
-            assert chi_vanishing_check(random_voxel_cfnd(rng), DOWN2)
+            assert chi_vanishing_check(random_voxel_cfnd(rng))
 
     def test_non_constructible_rejected(self):
         closed = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
         with pytest.raises(NotConeConstructible):
-            chi_vanishing_check(closed, DOWN2)
+            chi_vanishing_check(closed)

@@ -16,7 +16,7 @@ from eucalc.cfnd import (
     translate,
 )
 from eucalc.errors import ImproperConvolution, NonIntegrable
-from eucalc.geometry import OrthantCone, Polytope
+from eucalc.geometry import Polytope
 from eucalc.verify import (
     lebesgue_voxels,
     random_voxel_cfnd,
@@ -142,15 +142,14 @@ class TestCompatibility:
 
     def test_el_three_term_convolution(self):
         rng = np.random.default_rng(10)
-        cone = OrthantCone.nonpositive(2)
         for _ in range(10):
             phi, psi = random_voxel_cfnd(rng), random_voxel_cfnd(rng)
             xi = rng.integers(1, 4, size=2) * 0.5
             el = transforms.euler_laplace
             lhs = el(convolve_nd(phi, psi), xi)
             rhs = (
-                el(cone_closure(phi, cone), xi) * el(psi, xi)
-                + el(phi, xi) * el(cone_closure(psi, cone), xi)
+                el(cone_closure(phi), xi) * el(psi, xi)
+                + el(phi, xi) * el(cone_closure(psi), xi)
                 - el(phi, xi) * el(psi, xi)
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -225,8 +224,7 @@ class TestGrid:
 
     def test_missing_cells_recorded(self):
         rays = cone_closure(
-            CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]]),
-            OrthantCone.nonpositive(2),
+            CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
         )
         grid = transforms.grid_eval(
             rays, kernels.fourier(), [[1.0, 1.0], [1.0, 2.0]], [1.0]
@@ -254,16 +252,11 @@ class TestGrid:
 
 def test_noncompact_needs_integrable_kernel():
     rays = cone_closure(
-        CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]]),
-        OrthantCone.nonpositive(2),
+        CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
     )
     assert transforms.euler_laplace(rays, [1.0, 1.0]) == pytest.approx(1.0)
     with pytest.raises(NonIntegrable):
         transforms.euler_fourier(rays, [1.0, 1.0])
-
-
-def ray_closure(phi):
-    return cone_closure(phi, OrthantCone.nonpositive(2))
 
 
 class TestEngineParity:
@@ -271,7 +264,7 @@ class TestEngineParity:
 
     def test_cancelling_rays_stay_integrable_under_fourier(self):
         box = CFND.from_box([0.0, 0.0], [1.0, 0.5])
-        rays = ray_closure(box)
+        rays = cone_closure(box)
         assert all(not g.is_bounded for _, g in rays.terms)
         xi = np.array([0.7, 1.3])
         assert transforms.euler_fourier(rays, xi) == pytest.approx(
@@ -281,7 +274,7 @@ class TestEngineParity:
         assert None not in grid.values[0]
 
     def test_net_ray_gives_missing_cell(self):
-        net = ray_closure(CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]]))
+        net = cone_closure(CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]]))
         phi = net + gamma_triangle(2.0)
         grid = transforms.grid_eval(phi, kernels.fourier(), [[1.0, 1.0]], [0.5, 1.0])
         assert grid.values == [[None, None]]
@@ -289,7 +282,7 @@ class TestEngineParity:
         assert None not in laplace.values[0]
 
     def test_mixed_signs_on_ray_box_are_improper(self):
-        rays = ray_closure(CFND.from_box([0.0, 0.0], [1.0, 1.0]))
+        rays = cone_closure(CFND.from_box([0.0, 0.0], [1.0, 1.0]))
         with pytest.raises(ImproperConvolution):
             transforms.euler_laplace(rays, [1.0, -1.0])
         with pytest.raises(ImproperConvolution):
