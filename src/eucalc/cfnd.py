@@ -23,7 +23,6 @@ from itertools import product
 from math import prod
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cf1d import CF1D, EPS
 from .errors import (
@@ -83,6 +82,8 @@ class CFND:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _as_int(self.dimension, "dimension"))
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
         terms = tuple((_as_int(c, "coefficient"), g) for c, g in self.terms)
         for _, g in terms:
             if g.dimension != self.dimension:
@@ -111,6 +112,15 @@ class CFND:
         return CFND(self.dimension, tuple((m * c, g) for c, g in self.terms))
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only polytope
+    membership needs it, and importing scipy costs far more than the rest of
+    the package."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def _polytope_contains(poly, x):
     """Exact membership x in conv(points) via an LP feasibility problem."""
     pts = poly.points
@@ -125,24 +135,30 @@ def _polytope_contains(poly, x):
     return res.status == 0
 
 
-def _box_contains(box, x):
-    return bool(np.all(x >= box.low) and np.all(x < box.high))
-
-
 def evaluate(phi, x):
-    """Pointwise value of the represented function at x."""
-    x = as_vector(x)
-    if x.size != phi.dimension:
+    """Value of the represented function at a point, or at each row of an
+    (m, d) array.
+
+    A point returns an int; an array returns an object array of m exact
+    Python ints.  A box term is one broadcast test low <= x < high over all
+    rows; a polytope term solves one LP per row.
+    """
+    points = np.asarray(x, dtype=float)
+    single = points.ndim == 1
+    if single:
+        points = as_vector(points)[None, :]
+    elif points.ndim != 2 or not np.isfinite(points).all():
+        raise ValueError("expected a point or an (m, d) array of finite coordinates")
+    if points.shape[1] != phi.dimension:
         raise DimensionMismatch("point dimension differs from ambient")
-    total = 0
+    total = np.zeros(len(points), dtype=object)
     for coef, gen in phi.terms:
         if isinstance(gen, HalfOpenBox):
-            inside = _box_contains(gen, x)
+            inside = np.all((points >= gen.low) & (points < gen.high), axis=1)
         else:
-            inside = _polytope_contains(gen.polytope, x)
-        if inside:
-            total += coef
-    return total
+            inside = [_polytope_contains(gen.polytope, p) for p in points]
+        total[np.asarray(inside, dtype=bool)] += coef
+    return int(total[0]) if single else total
 
 
 def _signed_product(axis_options):
@@ -413,14 +429,13 @@ def equal_on_witness_grid(phi, psi):
 
     Sound for integer combinations of boxes: both functions are constant on
     the cells of the coordinate arrangement spanned by all generator bounds,
-    and the grid samples every cell.
+    and the grid samples every cell.  The grid is the product of the
+    per-axis probes, prod_i |probes_i| points of d floats, read by one
+    evaluate of phi - psi.
     """
     axes = _witness_axis_values(phi, psi)
-    for point in product(*axes):
-        x = np.array(point)
-        if evaluate(phi, x) != evaluate(psi, x):
-            return False
-    return True
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return not np.any(evaluate(phi - psi, grid))
 
 
 def is_cone_constructible(phi):

@@ -26,8 +26,11 @@ def as_vector(x):
 
 
 def _as_int(x, what):
-    """x as an int; ValueError unless it is integral (1.5, nan and inf fail)."""
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+    """x as an int; ValueError unless it is integral (1.5, nan, inf and
+    booleans fail)."""
+    if isinstance(x, (bool, np.bool_)) or (
+        not isinstance(x, (int, np.integer)) and not float(x).is_integer()
+    ):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 

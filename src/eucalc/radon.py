@@ -3,10 +3,11 @@
 The cone is the nonpositive orthant.  For a cone-constructible function the
 complex transform values along a ray of directions determine the 1-D
 pushforward through a truncated inverse Fourier integral with one-sided
-evaluation.  The two polar cones are the directions with every component
->= -EPS (the up side) and those with every component <= EPS (the down
-side); outside both the pushforward vanishes identically, which is checked
-exactly.
+evaluation, whose real integrand is a sum of w_e sin(s (t - e)) / s over
+the pushforward's breakpoints e with jumps w_e.  The two polar cones are
+the directions with every component >= -EPS (the up side) and those with
+every component <= EPS (the down side); outside both the pushforward
+vanishes identically, which is checked exactly.
 """
 
 import math
@@ -52,6 +53,11 @@ def recover_pushforward(phi, xi, t, params=RecoveryParams()):
     rule (the origin is excluded symmetrically) with the evaluation point
     shifted by +delta on the up side and by -delta on the down side,
     matching the one-sided continuity of the pushforward on either side.
+    The pushforward is real, so the s < 0 half is the conjugate reflection
+    and the integrand is the real part of sum_pieces v (i/s) e^{ist}
+    (e^{-is hi} - e^{-is lo}), which is sum_e w_e sin(s (t - e)) / s over
+    the breakpoints e, w_e being the bounded value right of e minus the one
+    left of it: one real sine per breakpoint.
     """
     xi = as_vector(xi)
     if not np.any(xi):
@@ -65,18 +71,17 @@ def recover_pushforward(phi, xi, t, params=RecoveryParams()):
 
     t_probe = t + params.delta if in_up else t - params.delta
     pushed = pushforward_linear(phi, xi)
-    pieces = [(lo, hi, v) for lo, hi, v in pushed.pieces()[1:-1] if v]  # bounded
-    if not pieces:
+    values = pushed.interval_values[1:-1]  # the bounded pieces
+    if not any(values):
         return 0.0
 
     count = int(round(params.A / params.ds))
     s = np.arange(1, count + 1) * params.ds
-    transform = np.zeros_like(s, dtype=complex)
-    for lo, hi, v in pieces:
-        transform += v * (1j / s) * (np.exp(-1j * s * hi) - np.exp(-1j * s * lo))
-    integrand = np.exp(1j * s * t_probe) * transform
-    # the function is real, so the s < 0 half is the conjugate reflection
-    return float(np.trapezoid(integrand.real, s) / np.pi)
+    integrand = np.zeros_like(s)
+    for e, before, after in zip(pushed.breakpoints, (0,) + values, values + (0,)):
+        if after != before:
+            integrand += (after - before) * np.sin(s * (t_probe - e))
+    return float(np.trapezoid(integrand / s, s) / np.pi)
 
 
 def radon_support_check(phi, xi):

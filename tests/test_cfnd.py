@@ -1,11 +1,22 @@
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import eucalc
 from eucalc import kernels, transforms
 from eucalc.cf1d import CF1D
 from eucalc.cfnd import (
     CFND,
+    ClosedPolytope,
     HalfOpenBox,
+    _polytope_contains,
+    _witness_axis_values,
     box_product,
     cone_closure,
     convolve_nd,
@@ -24,6 +35,7 @@ from eucalc.errors import (
     NonCompactSupport,
     UnsupportedGenerator,
 )
+from eucalc.geometry import Polytope
 
 UNIT_HO = CFND.from_box([0.0, 0.0], [1.0, 1.0])
 UNIT_CLOSED = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1], [1, 1]])
@@ -44,6 +56,72 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             evaluate(UNIT_HO, [0.0])
+        with pytest.raises(DimensionMismatch):
+            evaluate(UNIT_HO, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [[0.0, 0.0], [np.inf, 0.0]], []])
+    def test_non_finite_or_empty_point_rejected(self, x):
+        with pytest.raises(ValueError):
+            evaluate(UNIT_HO, x)
+
+    def test_array_returns_one_exact_integer_per_row(self):
+        huge = CFND.from_box([0.0, 0.0], [1.0, 1.0], coefficient=2**70)
+        got = evaluate(huge + huge + UNIT_HO.scale(-1), [[0.5, 0.5], [1.0, 0.5]])
+        assert list(got) == [2**71 - 1, 0]
+        assert evaluate(UNIT_HO, np.empty((0, 2))).shape == (0,)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batched_matches_per_row_and_termwise_oracle(self, data):
+        # half-open boxes, orthant rays and small polytopes on a 0.5 lattice,
+        # probed on a 0.25 lattice that holds every generator bound
+        dim = data.draw(st.integers(1, 3))
+        halves = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(
+            lambda ks: np.array(ks) * 0.5)
+        terms = []
+        for kind in data.draw(st.lists(st.sampled_from(["box", "ray", "polytope"]),
+                                       max_size=4)):
+            coef = data.draw(st.integers(-2**70, 2**70))
+            if kind == "polytope":
+                gen = ClosedPolytope(Polytope(np.array(data.draw(
+                    st.lists(halves, min_size=1, max_size=3)))))
+            else:
+                low = data.draw(halves)
+                high = low + 0.5 * np.array(data.draw(
+                    st.lists(st.integers(1, 3), min_size=dim, max_size=dim)))
+                if kind == "ray":
+                    high[data.draw(st.lists(st.booleans(), min_size=dim,
+                                            max_size=dim))] = np.inf
+                gen = HalfOpenBox(low, high)
+            terms.append((coef, gen))
+        phi = CFND(dim, tuple(terms))
+        quarter = st.lists(st.integers(-8, 14), min_size=dim, max_size=dim)
+        points = np.array(data.draw(st.lists(quarter, max_size=8)), dtype=float)
+        points = points.reshape(-1, dim) * 0.25
+
+        def contains(gen, x):
+            if isinstance(gen, HalfOpenBox):
+                return all(lo <= v < hi for v, lo, hi in zip(x, gen.low, gen.high))
+            return _polytope_contains(gen.polytope, x)
+
+        batched = evaluate(phi, points)
+        assert len(batched) == len(points)
+        for x, got in zip(points, batched):
+            want = sum(c for c, gen in phi.terms if contains(gen, x))
+            assert got == want == evaluate(phi, x)
+
+    def test_import_leaves_scipy_out_until_the_lp(self):
+        # scipy is imported by the first polytope membership LP, not before
+        code = (
+            "import sys, eucalc.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "from eucalc.cfnd import CFND, evaluate\n"
+            "tri = CFND.from_polytope_points([[0, 0], [1, 0], [0, 1]])\n"
+            "assert evaluate(tri, [0.25, 0.25]) == 1 and evaluate(tri, [0.75, 0.75]) == 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(eucalc.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestExpandBox:
@@ -196,6 +274,35 @@ class TestConeClosure:
 
     def test_zero_function(self):
         assert is_cone_constructible(CFND(2, ()))
+
+    def test_matches_pointwise_loop_on_random_box_scenes(self):
+        # the pointwise loop over the witness grid is the reference: one
+        # evaluate per point of phi and of its closure
+        def pointwise(phi):
+            closure = cone_closure(phi)
+            return all(evaluate(phi, x) == evaluate(closure, x)
+                       for x in product(*_witness_axis_values(phi, closure)))
+
+        def closed_box(low, high):
+            return ClosedPolytope(Polytope(np.array(list(product(*zip(low, high))))))
+
+        rng = np.random.default_rng(19)
+        outcomes = []
+        for case in range(40):
+            dim = 3 if case % 4 == 0 else 2
+            closed_share = (0.0, 0.5, 1.0)[case % 3]  # half-open, mixed, closed
+            terms = []
+            for _ in range(int(rng.integers(1, 4))):
+                low = rng.integers(-3, 3, size=dim) * 0.5
+                if rng.random() < closed_share:  # possibly degenerate
+                    gen = closed_box(low, low + rng.integers(0, 3, size=dim) * 0.5)
+                else:
+                    gen = HalfOpenBox(low, low + rng.integers(1, 3, size=dim) * 0.5)
+                terms.append((int(rng.choice([-2, -1, 1, 2])), gen))
+            phi = CFND(dim, tuple(terms))
+            outcomes.append(is_cone_constructible(phi))
+            assert outcomes[-1] == pointwise(phi)
+        assert any(outcomes) and not all(outcomes)
 
     def test_huge_box_midpoints_do_not_overflow(self):
         # (1e308 + 1.7e308) / 2 overflows to inf; the witness grid must not

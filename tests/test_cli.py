@@ -130,7 +130,7 @@ class TestTransformCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("dimension, coef", [
-        (2, 1.5), (2.9, 1), (2, float("inf")), (float("inf"), 1),
+        (2, 1.5), (2.9, 1), (2, float("inf")), (float("inf"), 1), (2, True),
     ])
     def test_non_integral_scene_field_exits_2(self, tmp_path, dimension, coef, capsys):
         scene = tmp_path / "scene.json"
@@ -142,6 +142,16 @@ class TestTransformCommand:
                 "--radius", "1"]
         assert exit_code(argv) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("dimension", [0, -2])
+    def test_nonpositive_scene_dimension_exits_2(self, tmp_path, dimension, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"dimension": dimension, "terms": []}))
+        argv = ["transform", "--input", str(scene), "--direction", "1,0",
+                "--radius", "1"]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scene {str(scene)!r}: dimension")
 
     @pytest.mark.parametrize("kernel", ["ecb:nan", "laplace:window=2,1", "laplace:window=nan,1"])
     def test_bad_kernel_spec_exits_2(self, triangle_scene, kernel, capsys):
@@ -223,8 +233,10 @@ class TestCurveCommands:
         (NAN_POINT_MESH, ["bessel", "--center", "0,0"]),
         ({"values": [0, float("nan"), 1]}, ["sublevel", "--direction", "1"]),
         ({"vertices": [[10**400, 0], [1, 0], [0, 1]]}, ["ect", "--xi", "1,0"]),
+        ({"cells": [[False, True, 2]]}, ["ect", "--xi", "1,0"]),
     ], ids=["negative-index", "fractional-index", "infinite-index",
-            "nan-vertex-ect", "nan-vertex-bessel", "nan-value", "huge-int-vertex"])
+            "nan-vertex-ect", "nan-vertex-bessel", "nan-value", "huge-int-vertex",
+            "boolean-index"])
     def test_bad_mesh_exits_2(self, tmp_path, mesh, argv, capsys):
         path = tmp_path / "bad_mesh.json"
         path.write_text(json.dumps(

@@ -56,6 +56,30 @@ class TestRecovery:
         with pytest.raises(DimensionMismatch):
             radon_support_check(UNIT_HO, [1.0, -1.0, 1.0])
 
+    def test_matches_piece_sum_of_complex_exponentials(self):
+        # reference: the real part of sum_pieces v (i/s)(e^{-is hi} - e^{-is lo})
+        # times e^{ist}, integrated by the same trapezoid rule
+        params = RecoveryParams()
+        s = np.arange(1, int(round(params.A / params.ds)) + 1) * params.ds
+
+        def piece_sum(phi, xi, t):
+            probe = t + params.delta if xi[0] > 0 else t - params.delta
+            transform = np.zeros_like(s, dtype=complex)
+            pieces = pushforward_linear(phi, xi).pieces()[1:-1]
+            for lo, hi, v in pieces:
+                transform += v * (1j / s) * (np.exp(-1j * s * hi) - np.exp(-1j * s * lo))
+            integrand = np.exp(1j * s * probe) * transform
+            size = 1 + sum(abs(v) for _, _, v in pieces)
+            return float(np.trapezoid(integrand.real, s) / np.pi), size
+
+        rng = np.random.default_rng(19)
+        for case in range(12):
+            phi = random_voxel_cfnd(rng, max_boxes=9)
+            xi = rng.uniform(0.2, 1.0, size=2) * (1 if case % 2 else -1)
+            t = float(rng.uniform(-6.0, 6.0))
+            want, size = piece_sum(phi, xi, t)
+            assert abs(recover_pushforward(phi, xi, t) - want) <= 1e-12 * size
+
     def test_step_halving_is_stable(self):
         base = recover_pushforward(UNIT_HO, DIAG, 0.5)
         fine = recover_pushforward(
